@@ -26,6 +26,7 @@ from .errors import (
     DomainError,
     EmptyReportError,
     GroupAHPError,
+    PanelParseError,
     ShapeError,
 )
 from .inconsistency import koczkodaj_k, panel_mean_ci, saaty_ci

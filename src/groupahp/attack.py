@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .aggregate import aggregate_panel
 from .core import ExpertPanel, PCMatrix, PriorityVector
 from .derive import gmm_priorities
@@ -53,47 +51,28 @@ def bribe_matrix(
 
 
 def run_attack(
-    panel: ExpertPanel,
-    max_bribes: int | None = None,
-    saturation: float = 9.0,
-    recompute_support: bool = False,
+    panel: ExpertPanel, max_bribes: int | None = None, saturation: float = 9.0
 ) -> AttackOutcome:
     """Bribe experts one by one until the honest runner-up tops the ranking.
 
-    Support for the incumbent is ranked once against the honest panel by
-    default; with ``recompute_support`` the strongest remaining supporter
-    is re-identified after every bribe.
+    Support for the incumbent is ranked once, on the honest panel: a bribe
+    changes only the bribed expert's matrix, and nobody is bribed twice.
     """
-    if panel.n < 2:
-        raise ShapeError("need at least 2 alternatives to attack")
-    if max_bribes is None:
-        max_bribes = panel.k
+    budget = panel.k if max_bribes is None else max(max_bribes, 0)
 
     honest = aggregate_panel(panel)
     order = honest.ranking()
     winner, runner_up = int(order[0]), int(order[1])
+    backing = [gmm_priorities(m).weights[winner] for m in panel.matrices]
+    # descending support, ties towards the lower expert index
+    queue = sorted(range(panel.k), key=lambda q: (-backing[q], q))
 
-    def support_order(p: ExpertPanel, exclude: set[int]) -> list[int]:
-        backing = [gmm_priorities(m).weights[winner] for m in p.matrices]
-        idx = [q for q in range(p.k) if q not in exclude]
-        # descending support, ties towards the lower expert index
-        idx.sort(key=lambda q: (-backing[q], q))
-        return idx
-
-    current = panel
-    bribed: list[int] = []
-    queue = support_order(panel, set())
-    while True:
-        ranking = aggregate_panel(current)
-        if int(ranking.ranking()[0]) == runner_up:
-            return AttackOutcome(tuple(bribed), current, True, ranking)
-        if len(bribed) >= max_bribes or len(bribed) >= panel.k:
-            return AttackOutcome(tuple(bribed), current, False, ranking)
-        if recompute_support:
-            target = support_order(current, set(bribed))[0]
-        else:
-            target = queue[len(bribed)]
+    current, ranking = panel, honest
+    for used, target in enumerate(queue[:budget], start=1):
         current = current.replace(
             target, bribe_matrix(current.matrices[target], runner_up, winner, saturation)
         )
-        bribed.append(target)
+        ranking = aggregate_panel(current)
+        if int(ranking.ranking()[0]) == runner_up:
+            return AttackOutcome(tuple(queue[:used]), current, True, ranking)
+    return AttackOutcome(tuple(queue[:budget]), current, False, ranking)

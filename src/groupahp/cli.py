@@ -15,21 +15,22 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import aggregate_panel
+from .aggregate import aggregate_panel, aip
 from .attack import run_attack
 from .derive import gmm_priorities
-from .errors import DomainError, GroupAHPError
+from .errors import DomainError, GroupAHPError, PanelParseError
 from .inconsistency import koczkodaj_k, saaty_ci
 from .montecarlo import (
     METHODS,
+    Scenario,
     experiment1,
     experiment2,
     generate_corpus,
     headline_stats,
     summarize,
 )
-from .panelio import PanelParseError, load_config, load_panel, save_panel
-from .robust import method_weights, robust_aggregate
+from .panelio import RunConfig, load_config, load_panel, save_panel
+from .robust import method_weights
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -48,17 +49,17 @@ def cmd_aggregate(args) -> int:
     panel, ids = load_panel(args.input)
     config = load_config(args.config)
     print(f"panel: {panel.k} experts, {panel.n} alternatives")
-    for eid, m in zip(ids, panel.matrices):
-        _print_vector(f"priorities {eid}", gmm_priorities(m).weights)
+    vectors = [gmm_priorities(m) for m in panel.matrices]
+    for eid, v in zip(ids, vectors):
+        _print_vector(f"priorities {eid}", v.weights)
     for eid, m in zip(ids, panel.matrices):
         print(f"CI {eid}: {_fmt(saaty_ci(m))}")
     method = args.method.upper()
-    if method == "CLASSIC":
-        final = aggregate_panel(panel)
-    else:
-        weights = method_weights(panel, method, config.robust_config())
+    weights = None
+    if method != "CLASSIC":
+        weights = method_weights(panel, method, config.robust)
         _print_vector("expert weights", weights.r)
-        final = robust_aggregate(panel, method, config.robust_config())
+    final = aip(vectors, weights)
     _print_vector(f"final ranking ({method})", final.weights)
     order = final.ranking()
     print("order:", " > ".join(f"a{i + 1}" for i in order))
@@ -74,8 +75,7 @@ def cmd_attack(args) -> int:
     outcome = run_attack(
         panel,
         config.max_bribes if args.max_bribes is None else args.max_bribes,
-        saturation=config.saturation,
-        recompute_support=config.recompute_support,
+        config.saturation,
     )
     print("bribed:", [ids[q] for q in outcome.bribed_indices])
     _print_vector("manipulated ranking", outcome.manipulated_ranking.weights)
@@ -103,12 +103,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
 
 
-def cmd_experiment(args) -> int:
+def _prepare_run(args) -> tuple[RunConfig, Path, list[Scenario]] | None:
+    """Resolve the config and seed, check the output directory, generate the corpus.
+
+    Returns None, after reporting, when the output directory is not writable.
+    """
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    if args.workers is not None:
-        config = replace(config, workers=args.workers)
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -117,8 +119,7 @@ def cmd_experiment(args) -> int:
         probe.unlink()
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_IO
-
+        return None
     scenarios = generate_corpus(
         config.seed,
         config.counts,
@@ -126,15 +127,18 @@ def cmd_experiment(args) -> int:
         config.panel_size,
         config.epsilon_distribution,
     )
-    rc = config.robust_config()
+    return config, out_dir, scenarios
+
+
+def cmd_experiment(args) -> int:
+    prepared = _prepare_run(args)
+    if prepared is None:
+        return EXIT_IO
+    config, out_dir, scenarios = prepared
+    workers = config.workers if args.workers is None else args.workers
     if args.which == 1:
         records = experiment1(
-            scenarios,
-            rc,
-            config.max_bribes,
-            config.saturation,
-            config.recompute_support,
-            workers=config.workers,
+            scenarios, config.robust, config.max_bribes, config.saturation, workers
         )
         rec_rows = [
             (
@@ -153,7 +157,7 @@ def cmd_experiment(args) -> int:
             + [f"manhattan_{m.lower()}" for m in METHODS]
         )
     else:
-        records = experiment2(scenarios, rc, workers=config.workers)
+        records = experiment2(scenarios, config.robust, workers)
         rec_rows = [
             (
                 r.scenario_id,
@@ -169,11 +173,10 @@ def cmd_experiment(args) -> int:
             + [f"kendall_{m.lower()}" for m in METHODS]
         )
     _write_csv(out_dir / "records.csv", rec_header, rec_rows)
-    rows = summarize(records)
     _write_csv(
         out_dir / "summary.csv",
         ["bucket_ci", "method", "metric", "value", "count"],
-        [(b, m, metric, v, c) for (b, m, metric, v, c) in rows],
+        summarize(records),
     )
     print(f"wrote {out_dir / 'records.csv'} and {out_dir / 'summary.csv'}")
     for method, stats in headline_stats(records).items():
@@ -183,22 +186,10 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=args.seed)
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        print(f"error: cannot create {out_dir}: {exc}", file=sys.stderr)
+    prepared = _prepare_run(args)
+    if prepared is None:
         return EXIT_IO
-    scenarios = generate_corpus(
-        config.seed,
-        config.counts,
-        config.alphas,
-        config.panel_size,
-        config.epsilon_distribution,
-    )
+    _, out_dir, scenarios = prepared
     index = []
     for s in scenarios:
         name = f"scenario_{s.scenario_id:05d}.json"

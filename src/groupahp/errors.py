@@ -27,3 +27,7 @@ class CredibilityOrderError(DomainError):
 
 class EmptyReportError(GroupAHPError, ValueError):
     """A summary was requested over an empty record set."""
+
+
+class PanelParseError(GroupAHPError):
+    """A panel or config file is malformed: bad JSON, a missing key or a wrong type."""

@@ -25,6 +25,7 @@ from .robust import RobustConfig, robust_aggregate
 METHODS = ("APDD", "AID", "MX")
 
 DEFAULT_COUNTS = {5: 34, 6: 33, 7: 33}
+EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 DEFAULT_ALPHAS = tuple(np.round(np.arange(1.1, 5.01, 0.1), 10))
 
 
@@ -40,7 +41,6 @@ class Scenario:
 @dataclass(frozen=True)
 class MethodResult:
     classification: str  # "WR" | "RR" | "FAILURE"
-    restored: PriorityVector
     distance: float  # mean Manhattan to the honest aggregate
 
 
@@ -152,16 +152,14 @@ def _classify(honest: PriorityVector, restored: PriorityVector) -> str:
 
 
 def _run_experiment1_one(args) -> Experiment1Record:
-    scenario, config, max_bribes, saturation, recompute = args
+    scenario, config, max_bribes, saturation = args
     honest = aggregate_panel(scenario.panel)
-    outcome = run_attack(
-        scenario.panel, max_bribes, saturation=saturation, recompute_support=recompute
-    )
+    outcome = run_attack(scenario.panel, max_bribes, saturation)
     methods = {}
     for method in METHODS:
         restored = robust_aggregate(outcome.manipulated_panel, method, config)
         methods[method] = MethodResult(
-            _classify(honest, restored), restored, manhattan_mean(honest, restored)
+            _classify(honest, restored), manhattan_mean(honest, restored)
         )
     return Experiment1Record(
         scenario.scenario_id,
@@ -195,11 +193,10 @@ def experiment1(
     config: RobustConfig = RobustConfig(),
     max_bribes: int | None = None,
     saturation: float = 9.0,
-    recompute_support: bool = False,
     workers: int = 1,
 ) -> list[Experiment1Record]:
     """Attack every scenario, then score how well each scheme recovers."""
-    args = [(s, config, max_bribes, saturation, recompute_support) for s in scenarios]
+    args = [(s, config, max_bribes, saturation) for s in scenarios]
     return _map(_run_experiment1_one, args, workers)
 
 
@@ -267,8 +264,17 @@ def summarize(records, ci_bucket_width: float = 0.01) -> list[tuple]:
     return rows
 
 
+def _mean(values: list) -> float:
+    # nan for no values, without numpy's empty-slice warning
+    return float(np.mean(values)) if values else float("nan")
+
+
 def headline_stats(records, ci_threshold: float = 0.1) -> dict[str, dict[str, float]]:
-    """Threshold statistics quoted in reports: rates and means at CI <= 0.1."""
+    """Threshold statistics quoted in reports: rates and means at CI <= 0.1.
+
+    A statistic over the scenarios at or below the threshold is nan when
+    there are none.
+    """
     records = list(records)
     if not records:
         raise EmptyReportError("no records")
@@ -277,18 +283,12 @@ def headline_stats(records, ci_threshold: float = 0.1) -> dict[str, dict[str, fl
         low = [r for r in records if r.mean_ci <= ci_threshold and r.attack_succeeded]
         for method in METHODS:
             cls = [r.methods[method].classification for r in low]
-            out[method]["wr_rate"] = sum(c in ("WR", "RR") for c in cls) / len(low)
-            out[method]["rr_rate"] = sum(c == "RR" for c in cls) / len(low)
-            out[method]["mean_manhattan"] = float(
-                np.mean([r.methods[method].distance for r in low])
-            )
+            out[method]["wr_rate"] = _mean([c in ("WR", "RR") for c in cls])
+            out[method]["rr_rate"] = _mean([c == "RR" for c in cls])
+            out[method]["mean_manhattan"] = _mean([r.methods[method].distance for r in low])
     else:
         low = [r for r in records if r.mean_ci <= ci_threshold]
         for method in METHODS:
-            out[method]["corpus_mean_manhattan"] = float(
-                np.mean([r.manhattan[method] for r in records])
-            )
-            out[method]["kendall_zero_freq"] = float(
-                np.mean([r.kendall[method] == 0 for r in low])
-            )
+            out[method]["corpus_mean_manhattan"] = _mean([r.manhattan[method] for r in records])
+            out[method]["kendall_zero_freq"] = _mean([r.kendall[method] == 0 for r in low])
     return out

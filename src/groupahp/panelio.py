@@ -12,14 +12,16 @@ from the upper triangle before any computation.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+import math
+from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
 from .core import ExpertPanel, PCMatrix, resymmetrize
-from .errors import DomainError, ShapeError
+from .errors import DomainError, PanelParseError
+from .montecarlo import DEFAULT_COUNTS, EPSILON_DISTRIBUTIONS
 from .robust import (
     CredibilityScale2,
     CredibilityScale3,
@@ -31,16 +33,29 @@ from .robust import (
 LOAD_RECIPROCITY_RTOL = 1e-2
 
 
-class PanelParseError(Exception):
-    """Panel file is malformed (missing keys, bad shapes, bad JSON)."""
+def _number_list(raw, size: int) -> bool:
+    # bool is an int subclass in Python but not a number in JSON
+    return isinstance(raw, list) and len(raw) == size and all(type(x) in (int, float) for x in raw)
+
+
+def _number_grid(raw, n: int) -> bool:
+    return isinstance(raw, list) and len(raw) == n and all(_number_list(r, n) for r in raw)
+
+
+def _read_object(path: str | Path) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        raise PanelParseError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise PanelParseError(f"{path}: top level must be an object")
+    return doc
 
 
 def _parse_matrix(raw, n: int, expert_id: str) -> PCMatrix:
-    arr = np.asarray(raw, dtype=float)
-    if arr.shape != (n, n):
-        raise PanelParseError(
-            f"expert {expert_id!r}: matrix shape {arr.shape} does not match n={n}"
-        )
+    if not _number_grid(raw, n):
+        raise PanelParseError(f"expert {expert_id!r}: matrix must be {n} rows of {n} numbers")
+    arr = np.array(raw, dtype=float)
     if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
         i, j = np.argwhere(~(np.isfinite(arr) & (arr > 0.0)))[0]
         raise DomainError(
@@ -57,15 +72,17 @@ def _parse_matrix(raw, n: int, expert_id: str) -> PCMatrix:
 
 
 def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
-    try:
-        n = int(doc["n"])
-        experts = doc["experts"]
-    except (KeyError, TypeError) as exc:
-        raise PanelParseError(f"missing field: {exc}") from None
-    if not experts:
-        raise PanelParseError("panel has no experts")
+    n, experts = doc.get("n"), doc.get("experts")
+    if type(n) is not int:
+        raise PanelParseError(f"'n' must be an integer, got {n!r}")
+    if n < 2:
+        raise DomainError(f"'n' must be at least 2, got {n}")
+    if not (isinstance(experts, list) and experts):
+        raise PanelParseError("'experts' must be a non-empty list")
     ids, mats = [], []
     for q, entry in enumerate(experts):
+        if not isinstance(entry, dict):
+            raise PanelParseError(f"expert #{q + 1}: entry must be an object, got {entry!r}")
         eid = str(entry.get("id", f"e{q + 1}"))
         if "matrix" not in entry:
             raise PanelParseError(f"expert {eid!r}: missing 'matrix' field")
@@ -75,13 +92,7 @@ def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
 
 
 def load_panel(path: str | Path) -> tuple[ExpertPanel, list[str]]:
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise PanelParseError(f"{path}: invalid JSON at line {exc.lineno}") from None
-    if not isinstance(doc, dict):
-        raise PanelParseError(f"{path}: top level must be an object")
-    return parse_panel(doc)
+    return parse_panel(_read_object(path))
 
 
 def save_panel(path: str | Path, panel: ExpertPanel, ids: list[str] | None = None) -> None:
@@ -107,19 +118,14 @@ class RunConfig:
     """Batch configuration for experiments and the attack model."""
 
     seed: int = 20230
-    counts: dict[int, int] = field(default_factory=lambda: {5: 34, 6: 33, 7: 33})
+    counts: dict[int, int] = field(default_factory=lambda: dict(DEFAULT_COUNTS))
     alpha_start: float = 1.1
     alpha_stop: float = 5.0
     alpha_step: float = 0.1
     panel_size: int = 20
-    metric: str = "manhattan"
-    h: float = 5.0
-    l: float = 1.0
-    credibility: CredibilityScale3 = DEFAULT_SCALE3
-    beta: float = 0.5
+    robust: RobustConfig = field(default_factory=RobustConfig)
     saturation: float = 9.0
     max_bribes: int | None = None
-    recompute_support: bool = False
     epsilon_distribution: str = "log-uniform"
     workers: int = 1
 
@@ -128,48 +134,86 @@ class RunConfig:
         count = int(round((self.alpha_stop - self.alpha_start) / self.alpha_step)) + 1
         return tuple(round(self.alpha_start + i * self.alpha_step, 10) for i in range(count))
 
-    def robust_config(self) -> RobustConfig:
-        return RobustConfig(
-            scale2=CredibilityScale2(self.h, self.l),
-            scale3=self.credibility,
-            beta=self.beta,
-            metric=self.metric,  # type: ignore[arg-type]
+
+# key: (JSON type, range test, range in words); CredibilityScale2 checks h and
+# l, RobustConfig checks metric
+_SCALAR_KEYS = {
+    "seed": (int, lambda v: v >= 0, ">= 0"),
+    "panel_size": (int, lambda v: v >= 1, ">= 1"),
+    "max_bribes": (int, lambda v: v >= 0, ">= 0 or null"),
+    "workers": (int, lambda v: v >= 1, ">= 1"),
+    "alpha_start": (float, lambda v: v >= 1.0, ">= 1"),
+    "alpha_stop": (float, lambda v: v >= 1.0, ">= 1"),
+    "alpha_step": (float, lambda v: v > 0.0, "> 0"),
+    "saturation": (float, lambda v: v > 1.0, "> 1"),
+    "epsilon_distribution": (str, lambda v: v in EPSILON_DISTRIBUTIONS,
+                             f"one of {list(EPSILON_DISTRIBUTIONS)}"),
+    "h": (float, None, None), "l": (float, None, None),
+    "beta": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    "metric": (str, None, None),
+}
+_JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
+_CREDIBILITY_KEYS = ("credibility_matrix", "credibility_ratios")
+
+
+def _scalar(key: str, value):
+    kind, in_range, rule = _SCALAR_KEYS[key]
+    if value is None and key == "max_bribes":
+        return None
+    if type(value) not in _JSON_TYPES[kind]:
+        raise PanelParseError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+    if kind is float and not math.isfinite(value):
+        raise DomainError(f"config key {key!r} must be finite, got {value!r}")
+    if in_range and not in_range(value):
+        raise DomainError(f"config key {key!r} must be {rule}, got {value!r}")
+    return value
+
+
+def _counts(raw) -> dict[int, int]:
+    # JSON object keys are always strings
+    if not (isinstance(raw, dict) and all(n.isdecimal() and type(c) is int for n, c in raw.items())):
+        raise PanelParseError(
+            f"config key 'counts' must map alternative counts to integers, got {raw!r}"
         )
+    counts = {int(n): c for n, c in raw.items()}
+    if any(n < 2 or c < 0 for n, c in counts.items()):
+        raise DomainError(f"config key 'counts' needs n >= 2 and counts >= 0, got {raw!r}")
+    return counts
 
 
 def _parse_credibility(doc: dict) -> CredibilityScale3:
-    if "credibility_matrix" in doc:
-        return credibility_from_matrix(resymmetrize(np.asarray(doc["credibility_matrix"])))
-    if "credibility_procedural_alpha" in doc:
-        # resolved later from panel inconsistencies; only explicit forms here
-        raise PanelParseError(
-            "procedural credibility must be resolved against a panel; "
-            "use the library API for that"
-        )
-    if "credibility_ratios" in doc:
-        h, m, l = (float(x) for x in doc["credibility_ratios"])
-        return CredibilityScale3.from_ratios(h, m, l)
-    return DEFAULT_SCALE3
+    key = next((k for k in _CREDIBILITY_KEYS if k in doc), None)
+    if key is None:
+        return DEFAULT_SCALE3
+    raw, matrix = doc[key], key == "credibility_matrix"
+    if not (_number_grid(raw, 3) if matrix else _number_list(raw, 3)):
+        shape = "3 rows of 3" if matrix else "3"
+        raise PanelParseError(f"config key {key!r} must be {shape} numbers, got {raw!r}")
+    try:
+        if matrix:
+            return credibility_from_matrix(resymmetrize(np.array(raw, dtype=float)))
+        return CredibilityScale3.from_ratios(*raw)
+    except DomainError as exc:
+        raise DomainError(f"config key {key!r}: {exc}") from None
 
 
 def load_config(path: str | Path | None) -> RunConfig:
-    cfg = RunConfig()
+    """Read a run config file; ``None`` gives the defaults.
+
+    A malformed file or a value of the wrong JSON type raises
+    PanelParseError; a value out of range raises DomainError.  Both name
+    the key.
+    """
     if path is None:
-        return cfg
-    try:
-        doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise PanelParseError(f"{path}: invalid JSON at line {exc.lineno}") from None
-    known = {
-        "seed", "panel_size", "metric", "h", "l", "beta", "saturation",
-        "max_bribes", "recompute_support", "epsilon_distribution", "workers",
-        "alpha_start", "alpha_stop", "alpha_step",
-    }
-    updates = {k: doc[k] for k in known if k in doc}
-    if "counts" in doc:
-        updates["counts"] = {int(k): int(v) for k, v in doc["counts"].items()}
-    updates["credibility"] = _parse_credibility(doc)
-    unknown = set(doc) - known - {"counts", "credibility_matrix", "credibility_ratios"}
+        return RunConfig()
+    doc = _read_object(path)
+    unknown = set(doc) - set(_SCALAR_KEYS) - {"counts", *_CREDIBILITY_KEYS}
     if unknown:
         raise PanelParseError(f"unknown config keys: {sorted(unknown)}")
-    return replace(cfg, **updates)
+    values = {k: _scalar(k, v) for k, v in doc.items() if k in _SCALAR_KEYS}
+    scale2 = CredibilityScale2(**{k: values.pop(k) for k in ("h", "l") if k in values})
+    blend = {k: values.pop(k) for k in ("beta", "metric") if k in values}
+    values["robust"] = RobustConfig(scale2, _parse_credibility(doc), **blend)
+    if "counts" in doc:
+        values["counts"] = _counts(doc["counts"])
+    return RunConfig(**values)

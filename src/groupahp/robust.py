@@ -57,6 +57,8 @@ class CredibilityScale3:
     @classmethod
     def from_ratios(cls, h: float, m: float, l: float) -> "CredibilityScale3":
         """Normalize explicit trust ratios (e.g. 9:4:1) to sum 1."""
+        if not all(x > 0.0 for x in (h, m, l)):
+            raise DomainError("credibility ratios must be positive")
         s = h + m + l
         return cls(h / s, m / s, l / s)
 
@@ -68,29 +70,6 @@ DEFAULT_SCALE3 = CredibilityScale3.from_ratios(9.0, 4.0, 1.0)
 EXAMPLE_CREDIBILITY_MATRIX = PCMatrix(
     np.array([[1.0, 2.0, 7.0], [0.5, 1.0, 4.0], [1.0 / 7.0, 0.25, 1.0]])
 )
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Per-expert distances feeding a weighting scheme.
-
-    Preferential profiles hold nonnegative distances to the aggregate;
-    inconsistency profiles hold signed deviations from the mean CI and sum
-    to zero by construction.
-    """
-
-    d: np.ndarray
-    centered: bool = False
-
-    def __post_init__(self):
-        arr = np.array(self.d, dtype=float)
-        arr.setflags(write=False)
-        if self.centered:
-            if abs(arr.sum()) > 1e-10:
-                raise DomainError("centered profile must sum to 0")
-        elif np.any(arr < 0.0):
-            raise DomainError("preferential distances must be nonnegative")
-        object.__setattr__(self, "d", arr)
 
 
 def linear_map(X: tuple[float, float], Y: tuple[float, float], x: float) -> float:
@@ -105,27 +84,23 @@ def linear_map(X: tuple[float, float], Y: tuple[float, float], x: float) -> floa
 
 def preferential_distances(
     panel: ExpertPanel, metric: MetricName = "manhattan"
-) -> DistanceProfile:
+) -> np.ndarray:
     """Distance of each expert's GMM vector from the equal-weight aggregate."""
     dist = CARDINAL_METRICS[metric]
     vectors = [gmm_priorities(m) for m in panel.matrices]
     group = aip(vectors)
-    return DistanceProfile(np.array([dist(group, v) for v in vectors]))
+    return np.array([dist(group, v) for v in vectors])
 
 
-def inconsistency_distances(panel: ExpertPanel) -> tuple[DistanceProfile, np.ndarray]:
+def inconsistency_distances(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
     """Signed deviation of each expert's CI from the panel mean.
 
-    Returns the centered profile together with the raw CI values.
+    Returns the deviations, which sum to zero, together with the raw CI values.
     """
     ci = np.array([saaty_ci(m) for m in panel.matrices])
     d = ci - ci.mean()
     d -= d.mean()  # kill the last ulp of centering error
-    return DistanceProfile(d, centered=True), ci
-
-
-def _rescale(raw: np.ndarray) -> ExpertWeights:
-    return ExpertWeights(raw / raw.sum())
+    return d, ci
 
 
 def apdd_weights(
@@ -139,12 +114,12 @@ def apdd_weights(
     scheme degenerates to uniform weights, so batch experiments survive
     perfectly symmetric panels.
     """
-    d = preferential_distances(panel, metric).d
+    d = preferential_distances(panel, metric)
     d_min, d_max = d.min(), d.max()
     if d_max - d_min < 1e-12:
         return ExpertWeights.uniform(panel.k)
     f = np.array([linear_map((d_min, scale.h), (d_max, scale.l), x) for x in d])
-    return _rescale(f)
+    return ExpertWeights(f / f.sum())
 
 
 def _piecewise_eval(
@@ -174,8 +149,7 @@ def aid_weights(
     to mean, and least consistent expert, carrying the scale's h, m and l.
     Ties for the middle expert break towards the lowest index.
     """
-    profile, ci = inconsistency_distances(panel)
-    d = profile.d
+    d, ci = inconsistency_distances(panel)
     if ci.max() - ci.min() < 1e-12:
         return ExpertWeights.uniform(panel.k)
     i_min = int(np.argmin(ci))
@@ -189,7 +163,7 @@ def aid_weights(
         # the B-C extrapolation can dip below zero for extreme outliers;
         # clip to a tiny positive floor so the weights stay valid
         f = np.maximum(f, 1e-12)
-    return _rescale(f)
+    return ExpertWeights(f / f.sum())
 
 
 def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:
@@ -253,6 +227,12 @@ class RobustConfig:
     scale3: CredibilityScale3 = DEFAULT_SCALE3
     beta: float = 0.5
     metric: MetricName = "manhattan"
+
+    def __post_init__(self):
+        if self.metric not in CARDINAL_METRICS:
+            raise DomainError(
+                f"metric must be one of {sorted(CARDINAL_METRICS)}, got {self.metric!r}"
+            )
 
 
 def method_weights(

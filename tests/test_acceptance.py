@@ -244,7 +244,7 @@ def test_criterion_5_property_suites(exp1_records):
     ok = True
     for _ in range(100):
         panel = ExpertPanel(tuple(random_pcm(4, rng) for _ in range(6)))
-        d = preferential_distances(panel).d
+        d = preferential_distances(panel)
         r = apdd_weights(panel).r
         order = np.argsort(d)
         ok = ok and bool(np.all(np.diff(r[order]) <= 1e-12))

@@ -1,4 +1,5 @@
 import json
+import warnings
 from importlib import resources
 
 import pytest
@@ -120,3 +121,65 @@ class TestExitCodes:
     def test_io_error(self, tmp_path, capsys):
         assert main(["aggregate", "--input", str(tmp_path / "missing.json")]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+
+class TestMalformedInput:
+    """Malformed configs and panels exit 2 (wrong type) or 3 (out of range)
+    with a message naming the key or expert, never with a traceback."""
+
+    @pytest.mark.parametrize(
+        "doc,code,key",
+        [
+            ({"metric": "foo"}, 3, "metric"),
+            ({"alpha_step": 0}, 3, "alpha_step"),
+            ({"seed": "abc"}, 2, "seed"),
+            ({"seed": True}, 2, "seed"),
+            ({"seed": -1}, 3, "seed"),
+            ({"counts": {"x": 1}}, 2, "counts"),
+            ({"counts": {"1": 3}}, 3, "counts"),
+            ({"max_bribes": "two"}, 2, "max_bribes"),
+            ({"beta": 1.5}, 3, "beta"),
+            ({"alpha_start": float("inf")}, 3, "alpha_start"),
+            ({"epsilon_distribution": "normal"}, 3, "epsilon_distribution"),
+            ({"credibility_ratios": [0, 0, 0]}, 3, "credibility_ratios"),
+            ({"credibility_matrix": [[1, 2], [0.5, 1]]}, 2, "credibility_matrix"),
+        ],
+    )
+    def test_config(self, doc, code, key, tmp_path, capsys):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(doc))
+        argv = ["experiment", "--which", "1", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == code
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc,code,key",
+        [
+            ({"n": "abc", "experts": [{"matrix": [[1]]}]}, 2, "'n'"),
+            ({"n": 0, "experts": [{"matrix": []}]}, 3, "'n'"),
+            ({"n": 2, "experts": "e1"}, 2, "'experts'"),
+            ({"n": 2, "experts": [[[1, 2], [0.5, 1]]]}, 2, "expert #1"),
+            ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, 2], [0.5]]}]}, 2, "bob"),
+            ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, "2"], [0.5, 1]]}]}, 2, "bob"),
+            ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, True], [1, 1]]}]}, 2, "bob"),
+        ],
+    )
+    def test_panel(self, doc, code, key, tmp_path, capsys):
+        panel = tmp_path / "panel.json"
+        panel.write_text(json.dumps(doc))
+        assert main(["aggregate", "--input", str(panel)]) == code
+        assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("which", ["1", "2"])
+def test_headline_is_nan_without_low_inconsistency_scenarios(which, tmp_path, capsys):
+    # at alpha >= 4.5 no panel has a mean CI <= 0.1
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({**SMALL_CONFIG, "alpha_start": 4.5, "alpha_stop": 5.0}))
+    argv = ["experiment", "--which", which, "--config", str(cfg), "--out", str(tmp_path / "o")]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 0
+    out = capsys.readouterr().out
+    stat = "wr_rate" if which == "1" else "kendall_zero_freq"
+    assert f"mx {stat} nan" in out

@@ -6,6 +6,7 @@ import pytest
 from groupahp import (
     CredibilityScale3,
     DomainError,
+    GroupAHPError,
     RunConfig,
     bundled_panel,
     load_config,
@@ -41,6 +42,9 @@ class TestParsePanel:
         doc = {"n": 2, "experts": [{"matrix": [[1, 2], [0.5, 1]]}]}
         _, ids = parse_panel(doc)
         assert ids == ["e1"]
+
+    def test_parse_error_is_a_library_error(self):
+        assert issubclass(PanelParseError, GroupAHPError)
 
     def test_missing_n(self):
         with pytest.raises(PanelParseError):
@@ -138,23 +142,23 @@ class TestRunConfig:
     def test_credibility_ratios(self, tmp_path):
         path = write_json(tmp_path, {"credibility_ratios": [5, 3, 1]}, "cfg.json")
         cfg = load_config(path)
-        assert cfg.credibility.h / cfg.credibility.l == pytest.approx(5.0)
+        assert cfg.robust.scale3.h / cfg.robust.scale3.l == pytest.approx(5.0)
 
     def test_credibility_matrix(self, tmp_path):
         doc = {"credibility_matrix": [[1, 2, 7], [0.5, 1, 4], [1 / 7, 0.25, 1]]}
         path = write_json(tmp_path, doc, "cfg.json")
         cfg = load_config(path)
-        assert isinstance(cfg.credibility, CredibilityScale3)
-        assert cfg.credibility.h == pytest.approx(0.603, abs=1e-3)
+        assert isinstance(cfg.robust.scale3, CredibilityScale3)
+        assert cfg.robust.scale3.h == pytest.approx(0.603, abs=1e-3)
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_json(tmp_path, {"sede": 1}, "cfg.json")
         with pytest.raises(PanelParseError, match="sede"):
             load_config(path)
 
-    def test_robust_config_reflects_scales(self, tmp_path):
+    def test_robust_keys_reflect_scales(self, tmp_path):
         path = write_json(tmp_path, {"h": 7, "l": 2, "beta": 0.25}, "cfg.json")
-        rc = load_config(path).robust_config()
+        rc = load_config(path).robust
         assert rc.scale2.h == 7
         assert rc.scale2.l == 2
         assert rc.beta == 0.25

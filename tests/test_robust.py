@@ -66,7 +66,7 @@ class TestAPDD:
     def test_weights_decrease_with_distance(self):
         rng = np.random.default_rng(79)
         panel = random_panel(rng, k=6)
-        d = preferential_distances(panel).d
+        d = preferential_distances(panel)
         r = apdd_weights(panel).r
         order = np.argsort(d)
         assert np.all(np.diff(r[order]) <= 1e-12)
@@ -74,7 +74,7 @@ class TestAPDD:
     def test_extreme_experts_hit_scale_anchors(self):
         rng = np.random.default_rng(83)
         panel = random_panel(rng, k=6)
-        d = preferential_distances(panel).d
+        d = preferential_distances(panel)
         r = apdd_weights(panel).r
         # before rescaling the closest expert carries h and the farthest l,
         # so their weight ratio equals h / l
@@ -100,9 +100,9 @@ class TestAID:
     def test_inconsistency_profile_is_centered(self):
         rng = np.random.default_rng(97)
         panel = random_panel(rng)
-        profile, ci = inconsistency_distances(panel)
-        assert abs(profile.d.sum()) <= 1e-10
-        assert np.allclose(profile.d, ci - ci.mean(), atol=1e-12)
+        d, ci = inconsistency_distances(panel)
+        assert abs(d.sum()) <= 1e-10
+        assert np.allclose(d, ci - ci.mean(), atol=1e-12)
 
     def test_most_consistent_expert_gets_top_weight(self):
         rng = np.random.default_rng(101)
