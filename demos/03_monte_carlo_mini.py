@@ -24,8 +24,8 @@ print(f"Generated {len(corpus)} scenarios "
       f"(panel size 20, disturbance 1.2-3.2)\n")
 
 records = experiment1(corpus)
-succ = [r for r in records if r.attack_succeeded]
-bribes = np.array([r.bribes_used for r in succ])
+succ = [r for r in records if r["attack_succeeded"]]
+bribes = np.array([r["bribes_used"] for r in succ])
 print(f"Attack succeeded in {len(succ)}/{len(records)} scenarios; "
       f"median bribes {int(np.median(bribes))}, max {bribes.max()}")
 

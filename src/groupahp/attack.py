@@ -22,6 +22,7 @@ class AttackOutcome:
     manipulated_panel: ExpertPanel
     succeeded: bool
     manipulated_ranking: PriorityVector
+    honest_ranking: PriorityVector  # the aggregate of the panel before any bribe
 
 
 def bribe_matrix(
@@ -74,5 +75,5 @@ def run_attack(
         )
         ranking = aggregate_panel(current)
         if int(ranking.ranking()[0]) == runner_up:
-            return AttackOutcome(tuple(queue[:used]), current, True, ranking)
-    return AttackOutcome(tuple(queue[:budget]), current, False, ranking)
+            return AttackOutcome(tuple(queue[:used]), current, True, ranking, honest)
+    return AttackOutcome(tuple(queue[:budget]), current, False, ranking, honest)

@@ -15,13 +15,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import aggregate_panel, aip
+from .aggregate import aip
 from .attack import run_attack
 from .derive import gmm_priorities
 from .errors import DomainError, GroupAHPError, PanelParseError
 from .inconsistency import koczkodaj_k, saaty_ci
 from .montecarlo import (
-    METHODS,
     Scenario,
     experiment1,
     experiment2,
@@ -29,7 +28,7 @@ from .montecarlo import (
     headline_stats,
     summarize,
 )
-from .panelio import RunConfig, load_config, load_panel, save_panel
+from .panelio import RunConfig, check_value, load_config, load_panel, panel_document, save_panel
 from .robust import method_weights
 
 EXIT_PARSE = 2
@@ -70,13 +69,12 @@ def cmd_aggregate(args) -> int:
 def cmd_attack(args) -> int:
     panel, ids = load_panel(args.input)
     config = load_config(args.config)
-    honest = aggregate_panel(panel)
-    _print_vector("honest aggregate", honest.weights)
     outcome = run_attack(
         panel,
         config.max_bribes if args.max_bribes is None else args.max_bribes,
         config.saturation,
     )
+    _print_vector("honest aggregate", outcome.honest_ranking.weights)
     print("bribed:", [ids[q] for q in outcome.bribed_indices])
     _print_vector("manipulated ranking", outcome.manipulated_ranking.weights)
     print("success:", outcome.succeeded)
@@ -110,7 +108,7 @@ def _prepare_run(args) -> tuple[RunConfig, Path, list[Scenario]] | None:
     """
     config = load_config(args.config)
     if args.seed is not None:
-        config = replace(config, seed=args.seed)
+        config = replace(config, seed=check_value("seed", args.seed, "--seed"))
     out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -140,39 +138,10 @@ def cmd_experiment(args) -> int:
         records = experiment1(
             scenarios, config.robust, config.max_bribes, config.saturation, workers
         )
-        rec_rows = [
-            (
-                r.scenario_id,
-                r.mean_ci,
-                r.bribes_used,
-                int(r.attack_succeeded),
-                *(r.methods[m].classification for m in METHODS),
-                *(r.methods[m].distance for m in METHODS),
-            )
-            for r in records
-        ]
-        rec_header = (
-            ["scenario_id", "mean_ci", "bribes_used", "attack_succeeded"]
-            + [f"class_{m.lower()}" for m in METHODS]
-            + [f"manhattan_{m.lower()}" for m in METHODS]
-        )
     else:
         records = experiment2(scenarios, config.robust, workers)
-        rec_rows = [
-            (
-                r.scenario_id,
-                r.mean_ci,
-                *(r.manhattan[m] for m in METHODS),
-                *(r.kendall[m] for m in METHODS),
-            )
-            for r in records
-        ]
-        rec_header = (
-            ["scenario_id", "mean_ci"]
-            + [f"manhattan_{m.lower()}" for m in METHODS]
-            + [f"kendall_{m.lower()}" for m in METHODS]
-        )
-    _write_csv(out_dir / "records.csv", rec_header, rec_rows)
+    # load_config rejects an empty corpus, so there is a first row
+    _write_csv(out_dir / "records.csv", list(records[0]), (r.values() for r in records))
     _write_csv(
         out_dir / "summary.csv",
         ["bucket_ci", "method", "metric", "value", "count"],
@@ -198,11 +167,7 @@ def cmd_gen(args) -> int:
             "base_vector": s.base_vector.weights.tolist(),
             "alpha": s.alpha,
             "mean_ci": s.mean_ci,
-            "n": s.panel.n,
-            "experts": [
-                {"id": f"e{q + 1}", "matrix": m.values.tolist()}
-                for q, m in enumerate(s.panel.matrices)
-            ],
+            **panel_document(s.panel),
         }
         (out_dir / name).write_text(json.dumps(doc))
         index.append((s.scenario_id, name, s.panel.n, s.alpha, s.mean_ci))

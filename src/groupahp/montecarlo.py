@@ -10,7 +10,7 @@ much the schemes disturb an honest, unmanipulated panel.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,9 +24,9 @@ from .robust import RobustConfig, robust_aggregate
 
 METHODS = ("APDD", "AID", "MX")
 
-DEFAULT_COUNTS = {5: 34, 6: 33, 7: 33}
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
-DEFAULT_ALPHAS = tuple(np.round(np.arange(1.1, 5.01, 0.1), 10))
+CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
+CI_THRESHOLD = 0.1  # the low-inconsistency region the headline statistics cover
 
 
 @dataclass(frozen=True)
@@ -36,29 +36,6 @@ class Scenario:
     alpha: float
     panel: ExpertPanel
     mean_ci: float
-
-
-@dataclass(frozen=True)
-class MethodResult:
-    classification: str  # "WR" | "RR" | "FAILURE"
-    distance: float  # mean Manhattan to the honest aggregate
-
-
-@dataclass(frozen=True)
-class Experiment1Record:
-    scenario_id: int
-    mean_ci: float
-    bribes_used: int
-    attack_succeeded: bool
-    methods: dict[str, MethodResult] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class Experiment2Record:
-    scenario_id: int
-    mean_ci: float
-    manhattan: dict[str, float] = field(default_factory=dict)
-    kendall: dict[str, int] = field(default_factory=dict)
 
 
 def random_priority_vector(n: int, rng: np.random.Generator) -> PriorityVector:
@@ -102,8 +79,8 @@ def perturb(
 
 def generate_corpus(
     seed: int,
-    counts: dict[int, int] | None = None,
-    alphas=DEFAULT_ALPHAS,
+    counts: dict[int, int],
+    alphas,
     panel_size: int = 20,
     epsilon_distribution: str = "log-uniform",
 ) -> list[Scenario]:
@@ -112,7 +89,6 @@ def generate_corpus(
     Base vectors whose top two priorities are closer than 1e-6 are redrawn
     so every scenario has an unambiguous honest winner and runner-up.
     """
-    counts = DEFAULT_COUNTS if counts is None else counts
     rng = np.random.default_rng(seed)
     bases: list[PriorityVector] = []
     for n in sorted(counts):
@@ -151,34 +127,35 @@ def _classify(honest: PriorityVector, restored: PriorityVector) -> str:
     return "FAILURE"
 
 
-def _run_experiment1_one(args) -> Experiment1Record:
+def _column(metric: str, method: str) -> str:
+    return f"{metric}_{method.lower()}"
+
+
+def _run_experiment1_one(args) -> dict:
     scenario, config, max_bribes, saturation = args
-    honest = aggregate_panel(scenario.panel)
     outcome = run_attack(scenario.panel, max_bribes, saturation)
-    methods = {}
-    for method in METHODS:
-        restored = robust_aggregate(outcome.manipulated_panel, method, config)
-        methods[method] = MethodResult(
-            _classify(honest, restored), manhattan_mean(honest, restored)
-        )
-    return Experiment1Record(
-        scenario.scenario_id,
-        scenario.mean_ci,
-        len(outcome.bribed_indices),
-        outcome.succeeded,
-        methods,
-    )
+    honest = outcome.honest_ranking
+    restored = {m: robust_aggregate(outcome.manipulated_panel, m, config) for m in METHODS}
+    return {
+        "scenario_id": scenario.scenario_id,
+        "mean_ci": scenario.mean_ci,
+        "bribes_used": len(outcome.bribed_indices),
+        "attack_succeeded": int(outcome.succeeded),
+        **{_column("class", m): _classify(honest, r) for m, r in restored.items()},
+        **{_column("manhattan", m): manhattan_mean(honest, r) for m, r in restored.items()},
+    }
 
 
-def _run_experiment2_one(args) -> Experiment2Record:
+def _run_experiment2_one(args) -> dict:
     scenario, config = args
     honest = aggregate_panel(scenario.panel)
-    manh, kend = {}, {}
-    for method in METHODS:
-        alt = robust_aggregate(scenario.panel, method, config)
-        manh[method] = manhattan_mean(honest, alt)
-        kend[method] = kendall_tau_distance(honest, alt)
-    return Experiment2Record(scenario.scenario_id, scenario.mean_ci, manh, kend)
+    alt = {m: robust_aggregate(scenario.panel, m, config) for m in METHODS}
+    return {
+        "scenario_id": scenario.scenario_id,
+        "mean_ci": scenario.mean_ci,
+        **{_column("manhattan", m): manhattan_mean(honest, a) for m, a in alt.items()},
+        **{_column("kendall", m): kendall_tau_distance(honest, a) for m, a in alt.items()},
+    }
 
 
 def _map(fn, items, workers: int):
@@ -194,8 +171,11 @@ def experiment1(
     max_bribes: int | None = None,
     saturation: float = 9.0,
     workers: int = 1,
-) -> list[Experiment1Record]:
-    """Attack every scenario, then score how well each scheme recovers."""
+) -> list[dict]:
+    """Attack every scenario, then score how well each scheme recovers.
+
+    Returns one flat row per scenario, keyed by the records.csv columns.
+    """
     args = [(s, config, max_bribes, saturation) for s in scenarios]
     return _map(_run_experiment1_one, args, workers)
 
@@ -204,62 +184,56 @@ def experiment2(
     scenarios: list[Scenario],
     config: RobustConfig = RobustConfig(),
     workers: int = 1,
-) -> list[Experiment2Record]:
-    """Compare honest aggregation against the robust schemes, no attack."""
+) -> list[dict]:
+    """Compare honest aggregation against the robust schemes, no attack.
+
+    Returns one flat row per scenario, keyed by the records.csv columns.
+    """
     args = [(s, config) for s in scenarios]
     return _map(_run_experiment2_one, args, workers)
 
 
-def _bucket(ci: float, width: float) -> float:
+def _bucket(ci: float) -> float:
     # label each bucket by its upper edge
-    return round((np.floor(ci / width) + 1) * width, 10)
+    return round((np.floor(ci / CI_BUCKET_WIDTH) + 1) * CI_BUCKET_WIDTH, 10)
 
 
-def summarize(records, ci_bucket_width: float = 0.01) -> list[tuple]:
+def summarize(records) -> list[tuple]:
     """Aggregate experiment records into report rows.
 
     Rows are tuples (bucket_ci, method, metric, value, count), sorted by
-    (metric, method, bucket).  Experiment-1 records yield WR/RR rates and
-    mean restoration distances per bucket (attack failures are excluded
-    from the rate denominators); experiment-2 records yield mean distances
-    per bucket plus the Kendall-distance histogram over the low-
-    inconsistency region (mean CI <= 0.1).
+    (metric, method, bucket).  Both experiments yield mean distances per
+    bucket.  Experiment-1 records add WR/RR rates per bucket, and attack
+    failures are left out of every bucket; experiment-2 records add the
+    Kendall-distance histogram over the low-inconsistency region
+    (mean CI <= 0.1).
     """
     records = list(records)
     if not records:
         raise EmptyReportError("no records to summarize")
+    attacked = "attack_succeeded" in records[0]
+    buckets: dict[float, list[dict]] = {}
+    for rec in records:
+        if not attacked or rec["attack_succeeded"]:
+            buckets.setdefault(_bucket(rec["mean_ci"]), []).append(rec)
     rows: list[tuple] = []
-    if isinstance(records[0], Experiment1Record):
-        buckets: dict[float, list[Experiment1Record]] = {}
-        for rec in records:
-            if rec.attack_succeeded:
-                buckets.setdefault(_bucket(rec.mean_ci, ci_bucket_width), []).append(rec)
-        for b, recs in buckets.items():
-            for method in METHODS:
-                cls = [r.methods[method].classification for r in recs]
+    for b, recs in buckets.items():
+        for method in METHODS:
+            if attacked:
+                cls = [r[_column("class", method)] for r in recs]
                 wr = sum(c in ("WR", "RR") for c in cls) / len(recs)
                 rr = sum(c == "RR" for c in cls) / len(recs)
-                dist = float(np.mean([r.methods[method].distance for r in recs]))
                 rows.append((b, method, "wr_rate", wr, len(recs)))
                 rows.append((b, method, "rr_rate", rr, len(recs)))
-                rows.append((b, method, "mean_manhattan", dist, len(recs)))
-    elif isinstance(records[0], Experiment2Record):
-        buckets2: dict[float, list[Experiment2Record]] = {}
-        for rec in records:
-            buckets2.setdefault(_bucket(rec.mean_ci, ci_bucket_width), []).append(rec)
-        for b, recs in buckets2.items():
-            for method in METHODS:
-                dist = float(np.mean([r.manhattan[method] for r in recs]))
-                rows.append((b, method, "mean_manhattan", dist, len(recs)))
-        low = [r for r in records if r.mean_ci <= 0.1]
-        if low:
-            for method in METHODS:
-                kd = np.array([r.kendall[method] for r in low])
-                for d in range(int(kd.max()) + 1):
-                    freq = float(np.mean(kd == d))
-                    rows.append((0.1, method, f"kendall_{d}_freq", freq, len(low)))
-    else:
-        raise EmptyReportError(f"unknown record type {type(records[0]).__name__}")
+            dist = float(np.mean([r[_column("manhattan", method)] for r in recs]))
+            rows.append((b, method, "mean_manhattan", dist, len(recs)))
+    low = [] if attacked else [r for r in records if r["mean_ci"] <= CI_THRESHOLD]
+    if low:
+        for method in METHODS:
+            kd = np.array([r[_column("kendall", method)] for r in low])
+            for d in range(int(kd.max()) + 1):
+                freq = float(np.mean(kd == d))
+                rows.append((CI_THRESHOLD, method, f"kendall_{d}_freq", freq, len(low)))
     rows.sort(key=lambda r: (r[2], r[1], r[0]))
     return rows
 
@@ -269,7 +243,7 @@ def _mean(values: list) -> float:
     return float(np.mean(values)) if values else float("nan")
 
 
-def headline_stats(records, ci_threshold: float = 0.1) -> dict[str, dict[str, float]]:
+def headline_stats(records) -> dict[str, dict[str, float]]:
     """Threshold statistics quoted in reports: rates and means at CI <= 0.1.
 
     A statistic over the scenarios at or below the threshold is nan when
@@ -278,17 +252,25 @@ def headline_stats(records, ci_threshold: float = 0.1) -> dict[str, dict[str, fl
     records = list(records)
     if not records:
         raise EmptyReportError("no records")
-    out: dict[str, dict[str, float]] = {m: {} for m in METHODS}
-    if isinstance(records[0], Experiment1Record):
-        low = [r for r in records if r.mean_ci <= ci_threshold and r.attack_succeeded]
-        for method in METHODS:
-            cls = [r.methods[method].classification for r in low]
-            out[method]["wr_rate"] = _mean([c in ("WR", "RR") for c in cls])
-            out[method]["rr_rate"] = _mean([c == "RR" for c in cls])
-            out[method]["mean_manhattan"] = _mean([r.methods[method].distance for r in low])
-    else:
-        low = [r for r in records if r.mean_ci <= ci_threshold]
-        for method in METHODS:
-            out[method]["corpus_mean_manhattan"] = _mean([r.manhattan[method] for r in records])
-            out[method]["kendall_zero_freq"] = _mean([r.kendall[method] == 0 for r in low])
+    attacked = "attack_succeeded" in records[0]
+    low = [
+        r for r in records
+        if r["mean_ci"] <= CI_THRESHOLD and (not attacked or r["attack_succeeded"])
+    ]
+    out: dict[str, dict[str, float]] = {}
+    for method in METHODS:
+        manhattan = _column("manhattan", method)
+        if attacked:
+            cls = [r[_column("class", method)] for r in low]
+            out[method] = {
+                "wr_rate": _mean([c in ("WR", "RR") for c in cls]),
+                "rr_rate": _mean([c == "RR" for c in cls]),
+                "mean_manhattan": _mean([r[manhattan] for r in low]),
+            }
+        else:
+            kendall = _column("kendall", method)
+            out[method] = {
+                "corpus_mean_manhattan": _mean([r[manhattan] for r in records]),
+                "kendall_zero_freq": _mean([r[kendall] == 0 for r in low]),
+            }
     return out

@@ -21,7 +21,7 @@ import numpy as np
 
 from .core import ExpertPanel, PCMatrix, resymmetrize
 from .errors import DomainError, PanelParseError
-from .montecarlo import DEFAULT_COUNTS, EPSILON_DISTRIBUTIONS
+from .montecarlo import EPSILON_DISTRIBUTIONS
 from .robust import (
     CredibilityScale2,
     CredibilityScale3,
@@ -95,16 +95,20 @@ def load_panel(path: str | Path) -> tuple[ExpertPanel, list[str]]:
     return parse_panel(_read_object(path))
 
 
-def save_panel(path: str | Path, panel: ExpertPanel, ids: list[str] | None = None) -> None:
+def panel_document(panel: ExpertPanel, ids: list[str] | None = None) -> dict:
+    """The JSON document of a panel file; experts are e1, e2, ... without ``ids``."""
     ids = ids or [f"e{q + 1}" for q in range(panel.k)]
-    doc = {
+    return {
         "n": panel.n,
         "experts": [
             {"id": eid, "matrix": m.values.tolist()}
             for eid, m in zip(ids, panel.matrices)
         ],
     }
-    Path(path).write_text(json.dumps(doc, indent=1))
+
+
+def save_panel(path: str | Path, panel: ExpertPanel, ids: list[str] | None = None) -> None:
+    Path(path).write_text(json.dumps(panel_document(panel, ids), indent=1))
 
 
 def bundled_panel(name: str) -> tuple[ExpertPanel, list[str]]:
@@ -118,7 +122,7 @@ class RunConfig:
     """Batch configuration for experiments and the attack model."""
 
     seed: int = 20230
-    counts: dict[int, int] = field(default_factory=lambda: dict(DEFAULT_COUNTS))
+    counts: dict[int, int] = field(default_factory=lambda: {5: 34, 6: 33, 7: 33})
     alpha_start: float = 1.1
     alpha_stop: float = 5.0
     alpha_step: float = 0.1
@@ -156,16 +160,21 @@ _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 _CREDIBILITY_KEYS = ("credibility_matrix", "credibility_ratios")
 
 
-def _scalar(key: str, value):
+def check_value(key: str, value, name: str | None = None):
+    """Check ``value`` against the JSON type and range of config key ``key``.
+
+    Errors call the value ``name``, by default "config key '<key>'".
+    """
     kind, in_range, rule = _SCALAR_KEYS[key]
+    name = name or f"config key {key!r}"
     if value is None and key == "max_bribes":
         return None
     if type(value) not in _JSON_TYPES[kind]:
-        raise PanelParseError(f"config key {key!r} must be {kind.__name__}, got {value!r}")
+        raise PanelParseError(f"{name} must be {kind.__name__}, got {value!r}")
     if kind is float and not math.isfinite(value):
-        raise DomainError(f"config key {key!r} must be finite, got {value!r}")
+        raise DomainError(f"{name} must be finite, got {value!r}")
     if in_range and not in_range(value):
-        raise DomainError(f"config key {key!r} must be {rule}, got {value!r}")
+        raise DomainError(f"{name} must be {rule}, got {value!r}")
     return value
 
 
@@ -178,6 +187,8 @@ def _counts(raw) -> dict[int, int]:
     counts = {int(n): c for n, c in raw.items()}
     if any(n < 2 or c < 0 for n, c in counts.items()):
         raise DomainError(f"config key 'counts' needs n >= 2 and counts >= 0, got {raw!r}")
+    if not any(counts.values()):
+        raise DomainError(f"config key 'counts' asks for no ground-truth vectors, got {raw!r}")
     return counts
 
 
@@ -210,10 +221,16 @@ def load_config(path: str | Path | None) -> RunConfig:
     unknown = set(doc) - set(_SCALAR_KEYS) - {"counts", *_CREDIBILITY_KEYS}
     if unknown:
         raise PanelParseError(f"unknown config keys: {sorted(unknown)}")
-    values = {k: _scalar(k, v) for k, v in doc.items() if k in _SCALAR_KEYS}
+    values = {k: check_value(k, v) for k, v in doc.items() if k in _SCALAR_KEYS}
     scale2 = CredibilityScale2(**{k: values.pop(k) for k in ("h", "l") if k in values})
     blend = {k: values.pop(k) for k in ("beta", "metric") if k in values}
     values["robust"] = RobustConfig(scale2, _parse_credibility(doc), **blend)
     if "counts" in doc:
         values["counts"] = _counts(doc["counts"])
-    return RunConfig(**values)
+    config = RunConfig(**values)
+    if not config.alphas:
+        raise DomainError(
+            f"config key 'alpha_stop' is a step or more below alpha_start "
+            f"({config.alpha_stop!r} < {config.alpha_start!r}), so no alpha level is left"
+        )
+    return config

@@ -74,9 +74,9 @@ def exp2_records(corpus):
 
 
 def low_ci(records, succeeded_only):
-    out = [r for r in records if r.mean_ci <= CI_THRESHOLD]
+    out = [r for r in records if r["mean_ci"] <= CI_THRESHOLD]
     if succeeded_only:
-        out = [r for r in out if r.attack_succeeded]
+        out = [r for r in out if r["attack_succeeded"]]
     return out
 
 
@@ -146,10 +146,10 @@ def test_criterion_3_restoration_rates_and_distances(exp1_records):
     }
     checks = []
     for method, (wr_t, rr_t, dist_t) in targets.items():
-        cls = [r.methods[method].classification for r in low]
+        cls = [r[f"class_{method.lower()}"] for r in low]
         wr = sum(c in ("WR", "RR") for c in cls) / len(cls)
         rr = sum(c == "RR" for c in cls) / len(cls)
-        dist = float(np.mean([r.methods[method].distance for r in low]))
+        dist = float(np.mean([r[f"manhattan_{method.lower()}"] for r in low]))
         checks.append(
             (f"{method} WR rate", abs(wr - wr_t) <= 0.05, f"{wr:.3f} vs {wr_t}±0.05")
         )
@@ -169,9 +169,9 @@ def test_criterion_4_honest_disturbance(exp2_records):
     mean_t = {"APDD": 0.017, "AID": 0.011, "MX": 0.009}
     k0_t = {"APDD": 0.92, "AID": 0.944, "MX": 0.951}
     means = {
-        m: float(np.mean([r.manhattan[m] for r in exp2_records])) for m in METHODS
+        m: float(np.mean([r[f"manhattan_{m.lower()}"] for r in exp2_records])) for m in METHODS
     }
-    k0 = {m: float(np.mean([r.kendall[m] == 0 for r in low])) for m in METHODS}
+    k0 = {m: float(np.mean([r[f"kendall_{m.lower()}"] == 0 for r in low])) for m in METHODS}
     checks = []
     for m in METHODS:
         checks.append(
@@ -275,7 +275,7 @@ def test_criterion_5_property_suites(exp1_records):
         return json.dumps(
             [
                 [s.base_vector.weights.tolist() for s in corpus],
-                [[r.manhattan[m] for m in METHODS] for r in recs],
+                [[r[f"manhattan_{m.lower()}"] for m in METHODS] for r in recs],
             ]
         ).encode()
 
@@ -284,9 +284,9 @@ def test_criterion_5_property_suites(exp1_records):
 
 
 def test_criterion_6_attack_effectiveness(exp1_records):
-    succ = [r for r in exp1_records if r.attack_succeeded]
+    succ = [r for r in exp1_records if r["attack_succeeded"]]
     success_rate = len(succ) / len(exp1_records)
-    frac_le3 = float(np.mean([r.bribes_used <= 3 for r in succ]))
+    frac_le3 = float(np.mean([r["bribes_used"] <= 3 for r in succ]))
     checks = [
         ("success rate >= 99.9%", success_rate >= 0.999, f"{success_rate:.4f}"),
         ("<= 3 bribes in >= 90% of successes", frac_le3 >= 0.90, f"{frac_le3:.4f}"),

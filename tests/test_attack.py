@@ -99,6 +99,11 @@ class TestRunAttack:
             outcome.manipulated_ranking.weights, aggregate_panel(panel).weights
         )
 
+    def test_reports_the_honest_aggregate(self, five_alt_panel):
+        outcome = run_attack(five_alt_panel)
+        honest = aggregate_panel(five_alt_panel)
+        assert np.array_equal(outcome.honest_ranking.weights, honest.weights)
+
     def test_original_panel_untouched(self):
         panel = unanimous_panel([4.0, 3.0, 2.0, 1.0], k=5)
         before = [m.values.copy() for m in panel.matrices]

@@ -93,6 +93,30 @@ class TestExperiment:
         assert (dirs[0] / "records.csv").read_bytes() == (dirs[1] / "records.csv").read_bytes()
         assert (dirs[0] / "summary.csv").read_bytes() == (dirs[1] / "summary.csv").read_bytes()
 
+    @pytest.mark.parametrize(
+        "which,header",
+        [
+            ("1", "scenario_id,mean_ci,bribes_used,attack_succeeded,class_apdd,class_aid,"
+                  "class_mx,manhattan_apdd,manhattan_aid,manhattan_mx"),
+            ("2", "scenario_id,mean_ci,manhattan_apdd,manhattan_aid,manhattan_mx,"
+                  "kendall_apdd,kendall_aid,kendall_mx"),
+        ],
+        ids=["1", "2"],
+    )
+    def test_records_header(self, which, header, small_config, tmp_path):
+        out_dir = tmp_path / "o"
+        argv = ["experiment", "--which", which, "--config", small_config, "--out", str(out_dir)]
+        assert main(argv) == 0
+        assert (out_dir / "records.csv").read_text().splitlines()[0] == header
+
+    @pytest.mark.parametrize(
+        "command", [["experiment", "--which", "2"], ["gen"]], ids=["experiment", "gen"]
+    )
+    def test_negative_seed_is_rejected(self, command, small_config, tmp_path, capsys):
+        argv = [*command, "--config", small_config, "--seed", "-1", "--out", str(tmp_path / "o")]
+        assert main(argv) == 3
+        assert "--seed" in capsys.readouterr().err
+
 
 class TestGen:
     def test_writes_scenarios_and_index(self, small_config, tmp_path, capsys):
@@ -143,6 +167,8 @@ class TestMalformedInput:
             ({"epsilon_distribution": "normal"}, 3, "epsilon_distribution"),
             ({"credibility_ratios": [0, 0, 0]}, 3, "credibility_ratios"),
             ({"credibility_matrix": [[1, 2], [0.5, 1]]}, 2, "credibility_matrix"),
+            ({"alpha_start": 2.0, "alpha_stop": 1.2}, 3, "alpha_stop"),
+            ({"counts": {"5": 0, "6": 0}}, 3, "counts"),
         ],
     )
     def test_config(self, doc, code, key, tmp_path, capsys):

@@ -138,23 +138,20 @@ class TestExperiments:
     def test_experiment1_record_shape(self, exp1, small_corpus):
         assert len(exp1) == len(small_corpus)
         for rec in exp1:
-            assert set(rec.methods) == set(METHODS)
-            for result in rec.methods.values():
-                assert result.classification in ("WR", "RR", "FAILURE")
-                assert result.distance >= 0.0
+            assert rec["attack_succeeded"] in (0, 1)
+            for m in (m.lower() for m in METHODS):
+                assert rec[f"class_{m}"] in ("WR", "RR", "FAILURE")
+                assert rec[f"manhattan_{m}"] >= 0.0
 
     def test_experiment2_record_shape(self, exp2, small_corpus):
         assert len(exp2) == len(small_corpus)
         for rec in exp2:
-            assert set(rec.manhattan) == set(METHODS)
-            assert all(v >= 0 for v in rec.manhattan.values())
-            assert all(isinstance(v, int) for v in rec.kendall.values())
+            for m in (m.lower() for m in METHODS):
+                assert rec[f"manhattan_{m}"] >= 0
+                assert isinstance(rec[f"kendall_{m}"], int)
 
     def test_parallel_matches_serial(self, small_corpus, exp2):
-        parallel = experiment2(small_corpus, workers=2)
-        for a, b in zip(exp2, parallel):
-            assert a.manhattan == b.manhattan
-            assert a.kendall == b.kendall
+        assert experiment2(small_corpus, workers=2) == exp2
 
     def test_summary_rows_sorted_and_typed(self, exp1):
         rows = summarize(exp1)
