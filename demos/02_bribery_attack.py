@@ -11,21 +11,15 @@ Run:  python3 demos/02_bribery_attack.py
 
 import numpy as np
 
-from groupahp import (
-    aggregate_panel,
-    bundled_panel,
-    robust_aggregate,
-    run_attack,
-    saaty_ci,
-)
+from groupahp import bundled_panel, robust_aggregate, run_attack, saaty_ci
 
 np.set_printoptions(precision=4, suppress=True)
 
 panel, ids = bundled_panel("bribery_demo_panel")
-honest = aggregate_panel(panel)
+outcome = run_attack(panel)
+honest = outcome.honest_ranking
 print(f"Honest group ranking: {honest.weights}  -> winner a{honest.ranking()[0] + 1}")
 
-outcome = run_attack(panel)
 manip = outcome.manipulated_ranking
 print(f"\nBribed experts: {[ids[q] for q in outcome.bribed_indices]}")
 print(f"Manipulated ranking: {manip.weights}  -> winner a{manip.ranking()[0] + 1}")

@@ -19,6 +19,7 @@ corpus = generate_corpus(
     counts={5: 4, 6: 3, 7: 3},
     alphas=tuple(np.round(np.arange(1.2, 3.21, 0.4), 10)),
     panel_size=20,
+    epsilon_distribution="log-uniform",
 )
 print(f"Generated {len(corpus)} scenarios "
       f"(panel size 20, disturbance 1.2-3.2)\n")

@@ -1,12 +1,13 @@
 """Domain types: pairwise comparison matrices, priority vectors, expert panels.
 
 All types validate their invariants at construction time and are immutable
-afterwards, so instances can be shared freely between threads.
+afterwards, so instances can be shared freely between threads.  A PCMatrix
+memoises its GMM vector and CI; memo writes are idempotent, so sharing stays safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,6 +34,7 @@ class PCMatrix:
     """
 
     values: np.ndarray
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _frozen_array(self.values)
@@ -50,6 +52,11 @@ class PCMatrix:
                 f"reciprocity violated beyond tolerance {RECIPROCITY_TOL:g}"
             )
         object.__setattr__(self, "values", arr)
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writable; the memo needs read-only values
+        state["values"].setflags(write=False)
+        self.__dict__.update(state)
 
     @property
     def n(self) -> int:

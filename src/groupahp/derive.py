@@ -9,9 +9,11 @@ from .errors import ConvergenceError, DomainError
 
 
 def gmm_priorities(C: PCMatrix) -> PriorityVector:
-    """Geometric mean method: normalized geometric means of the rows."""
-    s = np.exp(np.mean(np.log(C.values), axis=1))
-    return PriorityVector(s / s.sum())
+    """Geometric mean method: normalized row geometric means, memoised per matrix."""
+    if "gmm" not in C._memo:
+        s = np.exp(np.mean(np.log(C.values), axis=1))
+        C._memo["gmm"] = PriorityVector(s / s.sum())
+    return C._memo["gmm"]
 
 
 def evm_priorities(
@@ -35,7 +37,7 @@ def evm_priorities(
     for _ in range(max_iter):
         av = A @ v
         v_next = av / av.sum()
-        if np.max(np.abs(v_next - v)) < tol:
+        if abs(v_next - v).max() < tol:
             v = v_next
             break
         v = v_next

@@ -16,10 +16,12 @@ def saaty_ci(C: PCMatrix) -> float:
 
     Mathematically non-negative for reciprocal matrices; tiny negative
     values produced by floating point on consistent matrices are clamped
-    to zero.
+    to zero.  Derived once per matrix; later calls return the memoised value.
     """
-    _, lam = evm_priorities(C)
-    return max(0.0, (lam - C.n) / (C.n - 1))
+    if "ci" not in C._memo:
+        _, lam = evm_priorities(C)
+        C._memo["ci"] = max(0.0, (lam - C.n) / (C.n - 1))
+    return C._memo["ci"]
 
 
 def koczkodaj_k(C: PCMatrix) -> float:

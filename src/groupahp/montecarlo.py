@@ -52,12 +52,12 @@ def perturb(
     C_w: PCMatrix,
     alpha: float,
     rng: np.random.Generator,
-    distribution: str = "log-uniform",
+    distribution: str,
 ) -> PCMatrix:
     """Multiply each upper-triangle entry by a random factor in [1/alpha, alpha].
 
-    The factor is log-uniform by default, which is symmetric around 1 on
-    the ratio scale the geometric mean operates in.  Reciprocity is kept
+    A "log-uniform" factor is symmetric around 1 on the ratio scale the
+    geometric mean operates in; a "uniform" one is not.  Reciprocity is kept
     exactly (the lower triangle gets the reciprocal factors).
     """
     if alpha < 1.0:
@@ -81,8 +81,8 @@ def generate_corpus(
     seed: int,
     counts: dict[int, int],
     alphas,
-    panel_size: int = 20,
-    epsilon_distribution: str = "log-uniform",
+    panel_size: int,
+    epsilon_distribution: str,
 ) -> list[Scenario]:
     """Deterministically generate the scenario corpus for both experiments.
 

@@ -147,7 +147,8 @@ def aid_weights(
 
     Anchors sit at the centered deviations of the most consistent, closest
     to mean, and least consistent expert, carrying the scale's h, m and l.
-    Ties for the middle expert break towards the lowest index.
+    Ties for the middle expert break towards the lowest index.  As the middle
+    anchor minimises |d|, no deviation leaves its segment: weights stay in [l, h].
     """
     d, ci = inconsistency_distances(panel)
     if ci.max() - ci.min() < 1e-12:
@@ -159,10 +160,6 @@ def aid_weights(
     B = (d[i_mid], scale.m)
     C = (d[i_max], scale.l)
     f = np.array([_piecewise_eval(x, A, B, C) for x in d])
-    if np.any(f <= 0.0):
-        # the B-C extrapolation can dip below zero for extreme outliers;
-        # clip to a tiny positive floor so the weights stay valid
-        f = np.maximum(f, 1e-12)
     return ExpertWeights(f / f.sum())
 
 

@@ -270,7 +270,9 @@ def test_criterion_5_property_suites(exp1_records):
     # determinism: two seeded runs are byte-identical
     def snapshot():
         cfg = RunConfig()
-        corpus = generate_corpus(cfg.seed, {4: 2}, (1.5, 2.5), panel_size=5)
+        corpus = generate_corpus(
+            cfg.seed, {4: 2}, (1.5, 2.5), 5, cfg.epsilon_distribution
+        )
         recs = experiment2(corpus)
         return json.dumps(
             [

@@ -1,15 +1,30 @@
+import pickle
+
 import numpy as np
 import pytest
 
 from groupahp import (
     ConvergenceError,
+    ExpertPanel,
+    PCMatrix,
     PriorityVector,
+    bribe_matrix,
     consistent_matrix_from_priorities,
     evm_priorities,
     gmm_priorities,
     pcm_from_upper_triangle,
+    perturb,
 )
 from tests.test_core import random_pcm
+
+
+def derived_matrices(m, rng):
+    """New matrices built from m by the three ways the package derives them."""
+    return {
+        "bribe_matrix": bribe_matrix(m, 0, 1),
+        "ExpertPanel.replace": ExpertPanel((m, m)).replace(1, random_pcm(m.n, rng)).matrices[1],
+        "perturb": perturb(m, 3.0, rng, "log-uniform"),
+    }
 
 
 class TestGMM:
@@ -82,3 +97,32 @@ class TestEVM:
         m = random_pcm(5, rng)
         with pytest.raises(ConvergenceError):
             evm_priorities(m, tol=1e-300, max_iter=3)
+
+
+class TestGMMMemo:
+    def test_repeated_call_returns_the_same_vector(self):
+        m = random_pcm(5, np.random.default_rng(41))
+        assert gmm_priorities(m) is gmm_priorities(m)
+
+    def test_new_matrices_get_their_own_vector(self):
+        rng = np.random.default_rng(43)
+        m = random_pcm(5, rng)
+        source = gmm_priorities(m)  # fill the source's memo first
+        for how, d in derived_matrices(m, rng).items():
+            fresh = gmm_priorities(PCMatrix(d.values.copy())).weights
+            assert gmm_priorities(d) is not source, how
+            assert np.array_equal(gmm_priorities(d).weights, fresh), how
+
+    def test_pickle_round_trip_is_bitwise_equal(self):
+        m = random_pcm(6, np.random.default_rng(47))
+        before = pickle.loads(pickle.dumps(m))  # memo still empty
+        w = gmm_priorities(m)
+        after = pickle.loads(pickle.dumps(m))  # memo carried along
+        for copy in (before, after):
+            assert np.array_equal(gmm_priorities(copy).weights, w.weights)
+            assert not copy.values.flags.writeable
+
+    def test_memo_is_not_in_repr(self):
+        m = random_pcm(3, np.random.default_rng(53))
+        gmm_priorities(m)
+        assert repr(m) == repr(PCMatrix(m.values.copy()))

@@ -1,10 +1,12 @@
 import itertools
+import pickle
 
 import numpy as np
 import pytest
 
 from groupahp import (
     DomainError,
+    PCMatrix,
     PriorityVector,
     consistent_matrix_from_priorities,
     koczkodaj_k,
@@ -12,6 +14,7 @@ from groupahp import (
     saaty_ci,
 )
 from tests.test_core import random_pcm
+from tests.test_derive import derived_matrices
 
 
 def brute_force_koczkodaj(values: np.ndarray) -> float:
@@ -50,6 +53,32 @@ class TestSaatyCI:
         lam = float(np.max(np.linalg.eigvals(m.values).real))
         assert saaty_ci(m) == pytest.approx((lam - 3) / 2, abs=1e-10)
         assert saaty_ci(m) > 0.02
+
+
+class TestSaatyCIMemo:
+    def test_repeated_call_returns_the_same_value(self):
+        m = random_pcm(5, np.random.default_rng(59))
+        assert saaty_ci(m) is saaty_ci(m)
+
+    def test_new_matrices_get_their_own_value(self):
+        rng = np.random.default_rng(61)
+        m = random_pcm(5, rng)
+        source = saaty_ci(m)  # fill the source's memo first
+        for how, d in derived_matrices(m, rng).items():
+            fresh = saaty_ci(PCMatrix(d.values.copy()))
+            assert saaty_ci(d) == fresh and saaty_ci(d) != source, how
+
+    def test_pickle_round_trip_is_bitwise_equal(self):
+        m = random_pcm(6, np.random.default_rng(67))
+        before = pickle.loads(pickle.dumps(m))  # memo still empty
+        ci = saaty_ci(m)
+        after = pickle.loads(pickle.dumps(m))  # memo carried along
+        assert saaty_ci(before) == ci and saaty_ci(after) == ci
+
+    def test_memo_is_not_in_repr(self):
+        m = random_pcm(3, np.random.default_rng(71))
+        saaty_ci(m)
+        assert repr(m) == repr(PCMatrix(m.values.copy()))
 
 
 class TestKoczkodaj:

@@ -26,7 +26,7 @@ SMALL_ALPHAS = (1.2, 2.0)
 
 @pytest.fixture(scope="module")
 def small_corpus():
-    return generate_corpus(123, SMALL_COUNTS, SMALL_ALPHAS, panel_size=6)
+    return generate_corpus(123, SMALL_COUNTS, SMALL_ALPHAS, 6, "log-uniform")
 
 
 class TestGeneration:
@@ -40,7 +40,7 @@ class TestGeneration:
     def test_perturb_keeps_reciprocity(self):
         rng = np.random.default_rng(157)
         w = random_priority_vector(5, rng)
-        m = perturb(consistent_matrix_from_priorities(w), 3.0, rng)
+        m = perturb(consistent_matrix_from_priorities(w), 3.0, rng, "log-uniform")
         assert np.max(np.abs(m.values * m.values.T - 1.0)) <= 1e-12
 
     def test_perturb_bounded_by_alpha(self):
@@ -57,14 +57,14 @@ class TestGeneration:
     def test_perturb_alpha_one_is_identity(self):
         rng = np.random.default_rng(167)
         base = consistent_matrix_from_priorities(random_priority_vector(4, rng))
-        m = perturb(base, 1.0, rng)
+        m = perturb(base, 1.0, rng, "log-uniform")
         assert np.allclose(m.values, base.values)
 
     def test_perturb_rejects_alpha_below_one(self):
         rng = np.random.default_rng(173)
         base = consistent_matrix_from_priorities(random_priority_vector(3, rng))
         with pytest.raises(DomainError):
-            perturb(base, 0.5, rng)
+            perturb(base, 0.5, rng, "log-uniform")
 
     def test_perturb_rejects_unknown_distribution(self):
         rng = np.random.default_rng(179)
@@ -80,15 +80,15 @@ class TestGeneration:
         assert [s.scenario_id for s in small_corpus] == list(range(len(small_corpus)))
 
     def test_corpus_deterministic(self, small_corpus):
-        again = generate_corpus(123, SMALL_COUNTS, SMALL_ALPHAS, panel_size=6)
+        again = generate_corpus(123, SMALL_COUNTS, SMALL_ALPHAS, 6, "log-uniform")
         for a, b in zip(small_corpus, again):
             assert np.array_equal(a.base_vector.weights, b.base_vector.weights)
             for ma, mb in zip(a.panel.matrices, b.panel.matrices):
                 assert np.array_equal(ma.values, mb.values)
 
     def test_different_seeds_differ(self):
-        a = generate_corpus(1, {4: 1}, (1.5,), panel_size=3)
-        b = generate_corpus(2, {4: 1}, (1.5,), panel_size=3)
+        a = generate_corpus(1, {4: 1}, (1.5,), 3, "log-uniform")
+        b = generate_corpus(2, {4: 1}, (1.5,), 3, "log-uniform")
         assert not np.allclose(a[0].base_vector.weights, b[0].base_vector.weights)
 
     def test_base_vectors_have_clear_leaders(self, small_corpus):
@@ -97,7 +97,7 @@ class TestGeneration:
             assert top[0] - top[1] >= 1e-6
 
     def test_mean_ci_grows_with_disturbance(self):
-        corpus = generate_corpus(31, {5: 10}, (1.2, 3.5), panel_size=10)
+        corpus = generate_corpus(31, {5: 10}, (1.2, 3.5), 10, "log-uniform")
         low = np.mean([s.mean_ci for s in corpus if s.alpha == 1.2])
         high = np.mean([s.mean_ci for s in corpus if s.alpha == 3.5])
         assert high > low

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupahp import (
     CredibilityScale2,
@@ -128,6 +130,22 @@ class TestAID:
         target = normalized([0.339, 0.314, 0.1793, 0.151])
         v = robust_aggregate(eight_panel, "AID", RobustConfig(scale3=scale))
         assert np.max(np.abs(v.weights - target)) <= 5e-3
+
+    @given(st.integers(2, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_weight_ratio_stays_within_scale(self, k, distinct, seed):
+        # experts drawn with repetition from a small pool, so CIs tie often,
+        # spreads from consistent (CI 0) to far off the 1-9 scale
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        pool = [
+            random_pcm(n, rng, spread) if spread > 1.0
+            else consistent_matrix_from_priorities(PriorityVector(rng.dirichlet(np.ones(n))))
+            for spread in rng.choice([1.0, 1.5, 9.0, 81.0], size=min(distinct, k))
+        ]
+        panel = ExpertPanel(tuple(pool[i] for i in rng.integers(len(pool), size=k)))
+        r = aid_weights(panel).r
+        assert r.max() / r.min() <= DEFAULT_SCALE3.h / DEFAULT_SCALE3.l * (1 + 1e-12)
 
     def test_weights_stay_positive_for_extreme_outlier(self):
         rng = np.random.default_rng(103)
