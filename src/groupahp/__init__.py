@@ -18,7 +18,7 @@ from .core import (
     pcm_from_upper_triangle,
     resymmetrize,
 )
-from .derive import evm_priorities, gmm_priorities
+from .derive import evm_priorities, evm_stack, gmm_priorities, panel_gmm
 from .errors import (
     ConvergenceError,
     CredibilityOrderError,
@@ -29,7 +29,7 @@ from .errors import (
     PanelParseError,
     ShapeError,
 )
-from .inconsistency import koczkodaj_k, panel_mean_ci, saaty_ci
+from .inconsistency import koczkodaj_k, panel_cis, panel_mean_ci, saaty_ci
 from .metrics import (
     chebyshev,
     euclidean,

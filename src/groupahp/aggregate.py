@@ -13,7 +13,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector
-from .derive import gmm_priorities
+from .derive import panel_gmm
 from .errors import ShapeError
 
 
@@ -58,4 +58,4 @@ def aggregate_panel(panel: ExpertPanel, r: ExpertWeights | None = None) -> Prior
     Equivalent to deriving GMM priorities from the AIJ matrix (the two
     routes commute under the geometric mean; covered by property tests).
     """
-    return aip([gmm_priorities(m) for m in panel.matrices], r)
+    return aip(panel_gmm(panel), r)

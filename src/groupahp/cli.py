@@ -17,9 +17,9 @@ import numpy as np
 
 from .aggregate import aip
 from .attack import run_attack
-from .derive import gmm_priorities
+from .derive import panel_gmm
 from .errors import DomainError, GroupAHPError, PanelParseError
-from .inconsistency import koczkodaj_k, saaty_ci
+from .inconsistency import koczkodaj_k, panel_cis
 from .montecarlo import (
     Scenario,
     experiment1,
@@ -48,11 +48,11 @@ def cmd_aggregate(args) -> int:
     panel, ids = load_panel(args.input)
     config = load_config(args.config)
     print(f"panel: {panel.k} experts, {panel.n} alternatives")
-    vectors = [gmm_priorities(m) for m in panel.matrices]
+    vectors = panel_gmm(panel)
     for eid, v in zip(ids, vectors):
         _print_vector(f"priorities {eid}", v.weights)
-    for eid, m in zip(ids, panel.matrices):
-        print(f"CI {eid}: {_fmt(saaty_ci(m))}")
+    for eid, ci in zip(ids, panel_cis(panel)):
+        print(f"CI {eid}: {_fmt(ci)}")
     method = args.method.upper()
     weights = None
     if method != "CLASSIC":
@@ -87,9 +87,9 @@ def cmd_attack(args) -> int:
 def cmd_inspect(args) -> int:
     panel, ids = load_panel(args.input)
     print(f"panel: {panel.k} experts, {panel.n} alternatives")
-    for eid, m in zip(ids, panel.matrices):
+    for eid, m, ci in zip(ids, panel.matrices, panel_cis(panel)):
         k = _fmt(koczkodaj_k(m)) if panel.n >= 3 else "n/a"
-        print(f"{eid}: CI={_fmt(saaty_ci(m))} K={k}")
+        print(f"{eid}: CI={_fmt(ci)} K={k}")
     return 0
 
 

@@ -23,8 +23,19 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+class _ReadOnlyArrays:
+    """Base of the frozen types: keeps their arrays read-only through pickling."""
+
+    def __setstate__(self, state):
+        # unpickled arrays come back writable
+        for value in state.values():
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+        self.__dict__.update(state)
+
+
 @dataclass(frozen=True)
-class PCMatrix:
+class PCMatrix(_ReadOnlyArrays):
     """Positive reciprocal n x n matrix of pairwise preference ratios.
 
     Entry (i, j) states how many times alternative i is preferred over
@@ -53,18 +64,13 @@ class PCMatrix:
             )
         object.__setattr__(self, "values", arr)
 
-    def __setstate__(self, state):
-        # unpickled arrays come back writable; the memo needs read-only values
-        state["values"].setflags(write=False)
-        self.__dict__.update(state)
-
     @property
     def n(self) -> int:
         return self.values.shape[0]
 
 
 @dataclass(frozen=True)
-class PriorityVector:
+class PriorityVector(_ReadOnlyArrays):
     """Normalized positive weight vector over n alternatives."""
 
     weights: np.ndarray
@@ -131,7 +137,7 @@ class ExpertPanel:
 
 
 @dataclass(frozen=True)
-class ExpertWeights:
+class ExpertWeights(_ReadOnlyArrays):
     """Positive expert weights r_1..r_k summing to 1.
 
     Strict positivity is required: a zero weight would make the weighted

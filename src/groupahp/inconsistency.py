@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from .core import ExpertPanel, PCMatrix
-from .derive import evm_priorities
+from .derive import evm_stack
 from .errors import DomainError
+
+
+def _memoise_cis(mats: list[PCMatrix]) -> None:
+    if mats:
+        _, lam = evm_stack(np.stack([m.values for m in mats]))
+        for m, x in zip(mats, lam):
+            m._memo["ci"] = max(0.0, (float(x) - m.n) / (m.n - 1))
 
 
 def saaty_ci(C: PCMatrix) -> float:
@@ -19,9 +24,14 @@ def saaty_ci(C: PCMatrix) -> float:
     to zero.  Derived once per matrix; later calls return the memoised value.
     """
     if "ci" not in C._memo:
-        _, lam = evm_priorities(C)
-        C._memo["ci"] = max(0.0, (lam - C.n) / (C.n - 1))
+        _memoise_cis([C])
     return C._memo["ci"]
+
+
+def panel_cis(panel: ExpertPanel) -> list[float]:
+    """Each expert's CI; the ones not yet memoised come from one power iteration."""
+    _memoise_cis([m for m in panel.matrices if "ci" not in m._memo])
+    return [saaty_ci(m) for m in panel.matrices]
 
 
 def koczkodaj_k(C: PCMatrix) -> float:
@@ -30,13 +40,12 @@ def koczkodaj_k(C: PCMatrix) -> float:
     if n < 3:
         raise DomainError("the triad index requires at least 3 alternatives")
     a = C.values
-    worst = 0.0
-    for i, j, k in combinations(range(n), 3):
-        ratio = a[i, k] * a[k, j] / a[i, j]
-        worst = max(worst, min(abs(1.0 - ratio), abs(1.0 - 1.0 / ratio)))
-    return worst
+    i, j, k = np.indices((n, n, n))
+    # ratio[i, j, k] = a_ik * a_kj / a_ij, over the triads i < j < k
+    ratio = (a[:, None, :] * a.T[None, :, :] / a[:, :, None])[(i < j) & (j < k)]
+    return float(np.minimum(abs(1.0 - ratio), abs(1.0 - 1.0 / ratio)).max())
 
 
 def panel_mean_ci(panel: ExpertPanel) -> float:
     """Arithmetic mean of the consistency index over the panel."""
-    return float(np.mean([saaty_ci(m) for m in panel.matrices]))
+    return float(np.mean(panel_cis(panel)))

@@ -53,28 +53,33 @@ def perturb(
     alpha: float,
     rng: np.random.Generator,
     distribution: str,
-) -> PCMatrix:
-    """Multiply each upper-triangle entry by a random factor in [1/alpha, alpha].
+    k: int,
+) -> ExpertPanel:
+    """Draw a panel of k perturbed copies of C_w.
 
-    A "log-uniform" factor is symmetric around 1 on the ratio scale the
-    geometric mean operates in; a "uniform" one is not.  Reciprocity is kept
-    exactly (the lower triangle gets the reciprocal factors).
+    Each upper-triangle entry is multiplied by a random factor in
+    [1/alpha, alpha].  A "log-uniform" factor is symmetric around 1 on the
+    ratio scale the geometric mean operates in; a "uniform" one is not.
+    Reciprocity is kept exactly (the lower triangle gets the reciprocal
+    factors).  All k matrices come from one draw, which yields the same
+    random stream as k draws of one matrix each.
     """
     if alpha < 1.0:
         raise DomainError("alpha must be >= 1")
     n = C_w.n
     iu = np.triu_indices(n, k=1)
+    size = (k, len(iu[0]))
     if distribution == "log-uniform":
-        eps = np.exp(rng.uniform(-np.log(alpha), np.log(alpha), size=len(iu[0]))) \
-            if alpha > 1.0 else np.ones(len(iu[0]))
+        eps = np.exp(rng.uniform(-np.log(alpha), np.log(alpha), size=size)) \
+            if alpha > 1.0 else np.ones(size)
     elif distribution == "uniform":
-        eps = rng.uniform(1.0 / alpha, alpha, size=len(iu[0]))
+        eps = rng.uniform(1.0 / alpha, alpha, size=size)
     else:
         raise DomainError(f"unknown epsilon distribution {distribution!r}")
-    m = C_w.values.copy()
-    m[iu] = m[iu] * eps
-    m[(iu[1], iu[0])] = 1.0 / m[iu]
-    return PCMatrix(m)
+    m = np.repeat(C_w.values[None], k, axis=0)
+    m[:, iu[0], iu[1]] = C_w.values[iu] * eps
+    m[:, iu[1], iu[0]] = 1.0 / m[:, iu[0], iu[1]]
+    return ExpertPanel(tuple(PCMatrix(x) for x in m))
 
 
 def generate_corpus(
@@ -104,12 +109,7 @@ def generate_corpus(
     for w in bases:
         C_w = consistent_matrix_from_priorities(w)
         for alpha in alphas:
-            panel = ExpertPanel(
-                tuple(
-                    perturb(C_w, float(alpha), rng, epsilon_distribution)
-                    for _ in range(panel_size)
-                )
-            )
+            panel = perturb(C_w, float(alpha), rng, epsilon_distribution, panel_size)
             scenarios.append(
                 Scenario(sid, w, float(alpha), panel, panel_mean_ci(panel))
             )

@@ -15,9 +15,9 @@ import numpy as np
 
 from .aggregate import aip
 from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector
-from .derive import gmm_priorities
+from .derive import gmm_priorities, panel_gmm
 from .errors import CredibilityOrderError, DegenerateMapError, DomainError
-from .inconsistency import saaty_ci
+from .inconsistency import panel_cis
 from .metrics import CARDINAL_METRICS
 
 MetricName = Literal["manhattan", "euclidean", "chebyshev"]
@@ -87,7 +87,7 @@ def preferential_distances(
 ) -> np.ndarray:
     """Distance of each expert's GMM vector from the equal-weight aggregate."""
     dist = CARDINAL_METRICS[metric]
-    vectors = [gmm_priorities(m) for m in panel.matrices]
+    vectors = panel_gmm(panel)
     group = aip(vectors)
     return np.array([dist(group, v) for v in vectors])
 
@@ -97,7 +97,7 @@ def inconsistency_distances(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]
 
     Returns the deviations, which sum to zero, together with the raw CI values.
     """
-    ci = np.array([saaty_ci(m) for m in panel.matrices])
+    ci = np.array(panel_cis(panel))
     d = ci - ci.mean()
     d -= d.mean()  # kill the last ulp of centering error
     return d, ci
@@ -249,4 +249,4 @@ def robust_aggregate(
 ) -> PriorityVector:
     """Group ranking using the chosen weighting scheme and weighted AIP."""
     r = method_weights(panel, method, config)
-    return aip([gmm_priorities(m) for m in panel.matrices], r)
+    return aip(panel_gmm(panel), r)

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,3 +163,27 @@ class TestConstruction:
         m = consistent_matrix_from_priorities(w)
         assert m.values[2, 0] == pytest.approx(4.0)
         assert m.values[0, 2] == pytest.approx(0.25)
+
+
+class TestPickle:
+    @pytest.mark.parametrize(
+        "obj, attr",
+        [
+            (pcm_from_upper_triangle(3, [2.0, 4.0, 0.5]), "values"),
+            (PriorityVector.from_raw([1.0, 2.0, 3.0]), "weights"),
+            (ExpertWeights(np.array([0.25, 0.75])), "r"),
+        ],
+        ids=["PCMatrix", "PriorityVector", "ExpertWeights"],
+    )
+    def test_round_trip_keeps_arrays_read_only(self, obj, attr):
+        copy = pickle.loads(pickle.dumps(obj))
+        assert np.array_equal(getattr(copy, attr), getattr(obj, attr))
+        assert not getattr(copy, attr).flags.writeable
+        with pytest.raises(ValueError):
+            getattr(copy, attr)[0] = 1.0
+
+    def test_memoised_vector_comes_back_read_only(self):
+        m = pcm_from_upper_triangle(3, [2.0, 4.0, 0.5])
+        gmm_priorities(m)
+        copy = pickle.loads(pickle.dumps(m))
+        assert not gmm_priorities(copy).weights.flags.writeable

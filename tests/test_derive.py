@@ -23,7 +23,7 @@ def derived_matrices(m, rng):
     return {
         "bribe_matrix": bribe_matrix(m, 0, 1),
         "ExpertPanel.replace": ExpertPanel((m, m)).replace(1, random_pcm(m.n, rng)).matrices[1],
-        "perturb": perturb(m, 3.0, rng, "log-uniform"),
+        "perturb": perturb(m, 3.0, rng, "log-uniform", 1).matrices[0],
     }
 
 

@@ -40,7 +40,8 @@ class TestGeneration:
     def test_perturb_keeps_reciprocity(self):
         rng = np.random.default_rng(157)
         w = random_priority_vector(5, rng)
-        m = perturb(consistent_matrix_from_priorities(w), 3.0, rng, "log-uniform")
+        base = consistent_matrix_from_priorities(w)
+        m = perturb(base, 3.0, rng, "log-uniform", 1).matrices[0]
         assert np.max(np.abs(m.values * m.values.T - 1.0)) <= 1e-12
 
     def test_perturb_bounded_by_alpha(self):
@@ -48,7 +49,7 @@ class TestGeneration:
         w = random_priority_vector(4, rng)
         base = consistent_matrix_from_priorities(w)
         for dist in ("log-uniform", "uniform"):
-            m = perturb(base, 2.0, rng, dist)
+            m = perturb(base, 2.0, rng, dist, 1).matrices[0]
             ratio = m.values / base.values
             iu = np.triu_indices(4, 1)
             assert np.all(ratio[iu] >= 0.5 - 1e-12)
@@ -57,20 +58,32 @@ class TestGeneration:
     def test_perturb_alpha_one_is_identity(self):
         rng = np.random.default_rng(167)
         base = consistent_matrix_from_priorities(random_priority_vector(4, rng))
-        m = perturb(base, 1.0, rng, "log-uniform")
+        m = perturb(base, 1.0, rng, "log-uniform", 1).matrices[0]
         assert np.allclose(m.values, base.values)
+
+    @pytest.mark.parametrize("dist", ["log-uniform", "uniform"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.1, 2.4, 5.0])
+    def test_panel_draw_matches_sequential_draws(self, dist, alpha):
+        w = random_priority_vector(6, np.random.default_rng(181))
+        base = consistent_matrix_from_priorities(w)
+        one, many = np.random.default_rng(191), np.random.default_rng(191)
+        singles = [perturb(base, alpha, one, dist, 1).matrices[0] for _ in range(7)]
+        panel = perturb(base, alpha, many, dist, 7)
+        for a, b in zip(singles, panel.matrices, strict=True):
+            assert np.array_equal(a.values, b.values)
+        assert one.random() == many.random()  # both streams stand at the same place
 
     def test_perturb_rejects_alpha_below_one(self):
         rng = np.random.default_rng(173)
         base = consistent_matrix_from_priorities(random_priority_vector(3, rng))
         with pytest.raises(DomainError):
-            perturb(base, 0.5, rng, "log-uniform")
+            perturb(base, 0.5, rng, "log-uniform", 1)
 
     def test_perturb_rejects_unknown_distribution(self):
         rng = np.random.default_rng(179)
         base = consistent_matrix_from_priorities(random_priority_vector(3, rng))
         with pytest.raises(DomainError):
-            perturb(base, 2.0, rng, "gaussian")
+            perturb(base, 2.0, rng, "gaussian", 1)
 
     def test_corpus_shape(self, small_corpus):
         assert len(small_corpus) == 4 * len(SMALL_ALPHAS)
