@@ -22,7 +22,6 @@ from .derive import evm_priorities, evm_stack, gmm_priorities, panel_gmm
 from .errors import (
     ConvergenceError,
     CredibilityOrderError,
-    DegenerateMapError,
     DomainError,
     EmptyReportError,
     GroupAHPError,
@@ -57,11 +56,9 @@ from .robust import (
     aid_weights,
     apdd_weights,
     credibility_from_matrix,
-    linear_map,
     method_weights,
     mx_weights,
     preferential_distances,
-    procedural_credibility,
     robust_aggregate,
 )
 

@@ -17,10 +17,6 @@ class ConvergenceError(GroupAHPError, RuntimeError):
     """An iterative solver failed to converge within its iteration budget."""
 
 
-class DegenerateMapError(GroupAHPError, ValueError):
-    """A linear map through two points with equal abscissae was requested."""
-
-
 class CredibilityOrderError(DomainError):
     """Credibility anchors came out unordered (h > m > l violated)."""
 

@@ -8,6 +8,8 @@ from .core import ExpertPanel, PCMatrix
 from .derive import evm_stack
 from .errors import DomainError
 
+_TRIAD_BLOCK = 1 << 16
+
 
 def _memoise_cis(mats: list[PCMatrix]) -> None:
     if mats:
@@ -35,15 +37,26 @@ def panel_cis(panel: ExpertPanel) -> list[float]:
 
 
 def koczkodaj_k(C: PCMatrix) -> float:
-    """Worst-triad relative deviation from consistency, in [0, 1)."""
+    """Worst-triad relative deviation from consistency, in [0, 1).
+
+    Triads are taken in blocks of their largest index, about _TRIAD_BLOCK
+    ratios (or one index) at a time, so memory grows as n^2, not n^3.
+    """
     n = C.n
     if n < 3:
         raise DomainError("the triad index requires at least 3 alternatives")
     a = C.values
-    i, j, k = np.indices((n, n, n))
-    # ratio[i, j, k] = a_ik * a_kj / a_ij, over the triads i < j < k
-    ratio = (a[:, None, :] * a.T[None, :, :] / a[:, :, None])[(i < j) & (j < k)]
-    return float(np.minimum(abs(1.0 - ratio), abs(1.0 - 1.0 / ratio)).max())
+    r = np.arange(n)
+    i_below_j = (r[:, None] < r)[:, :, None]
+    step = max(1, _TRIAD_BLOCK // (n * n))
+    worst = 0.0
+    for k0 in range(2, n, step):
+        ks = slice(k0, k0 + step)
+        # ratio[i, j, k] = a_ik * a_kj / a_ij, over the triads i < j < k
+        ratio = a[:, None, ks] * a.T[None, :, ks] / a[:, :, None]
+        ratio = ratio[i_below_j & (r[:, None] < r[ks])]
+        worst = max(worst, float(np.minimum(abs(1.0 - ratio), abs(1.0 - 1.0 / ratio)).max()))
+    return worst
 
 
 def panel_mean_ci(panel: ExpertPanel) -> float:

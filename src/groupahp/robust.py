@@ -16,7 +16,7 @@ import numpy as np
 from .aggregate import aip
 from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector
 from .derive import gmm_priorities, panel_gmm
-from .errors import CredibilityOrderError, DegenerateMapError, DomainError
+from .errors import CredibilityOrderError, DomainError
 from .inconsistency import panel_cis
 from .metrics import CARDINAL_METRICS
 
@@ -42,8 +42,7 @@ class CredibilityScale3:
 
     Ordering h >= m >= l > 0 is required; the strict form is enforced where
     the anchors come from a credibility comparison matrix.  Equal anchors
-    arise legitimately from the procedural rule when all inconsistencies
-    coincide.
+    arise only from equal explicit trust ratios.
     """
 
     h: float
@@ -70,16 +69,6 @@ DEFAULT_SCALE3 = CredibilityScale3.from_ratios(9.0, 4.0, 1.0)
 EXAMPLE_CREDIBILITY_MATRIX = PCMatrix(
     np.array([[1.0, 2.0, 7.0], [0.5, 1.0, 4.0], [1.0 / 7.0, 0.25, 1.0]])
 )
-
-
-def linear_map(X: tuple[float, float], Y: tuple[float, float], x: float) -> float:
-    """Value at x of the straight line through points X and Y."""
-    x1, y1 = X
-    x2, y2 = Y
-    if x1 == x2:
-        raise DegenerateMapError("line endpoints share the same abscissa")
-    slope = (y1 - y2) / (x1 - x2)
-    return y1 + slope * (x - x1)
 
 
 def preferential_distances(
@@ -118,48 +107,34 @@ def apdd_weights(
     d_min, d_max = d.min(), d.max()
     if d_max - d_min < 1e-12:
         return ExpertWeights.uniform(panel.k)
-    f = np.array([linear_map((d_min, scale.h), (d_max, scale.l), x) for x in d])
+    f = np.interp(d, [d_min, d_max], [scale.h, scale.l])
     return ExpertWeights(f / f.sum())
-
-
-def _piecewise_eval(
-    x: float,
-    A: tuple[float, float],
-    B: tuple[float, float],
-    C: tuple[float, float],
-) -> float:
-    # segment A-B below the mean (x < 0), B-C at or above it
-    if x < 0.0:
-        lo, hi = A, B
-    else:
-        lo, hi = B, C
-    if lo[0] == hi[0]:
-        # anchors collapsed (e.g. the extreme expert is also the middle one);
-        # fall back to the other segment, which still spans distinct abscissae
-        lo, hi = (B, C) if lo is A else (A, B)
-    return linear_map(lo, hi, x)
 
 
 def aid_weights(
     panel: ExpertPanel, scale: CredibilityScale3 = DEFAULT_SCALE3
 ) -> ExpertWeights:
-    """Inconsistency-deviation weights via a two-segment piecewise-linear map.
+    """Inconsistency-deviation weights: a two-segment line through (h, m, l) anchors.
 
-    Anchors sit at the centered deviations of the most consistent, closest
-    to mean, and least consistent expert, carrying the scale's h, m and l.
-    Ties for the middle expert break towards the lowest index.  As the middle
-    anchor minimises |d|, no deviation leaves its segment: weights stay in [l, h].
+    The anchors sit at the centered CI deviations of the most consistent
+    expert (h), the middle expert (m) and the least consistent expert (l).
+    The middle anchor is the deviation closest to zero among the experts
+    strictly between the two extremes; an exact |d| tie goes to the lower d.
+    When no expert lies strictly between, the map is the line from the best
+    (h) to the worst (l) deviation, so tied-best experts get h and tied-worst
+    experts get l.  The rule reads deviations, not positions, so the weights
+    do not depend on the order in which experts are listed.
     """
     d, ci = inconsistency_distances(panel)
     if ci.max() - ci.min() < 1e-12:
         return ExpertWeights.uniform(panel.k)
-    i_min = int(np.argmin(ci))
-    i_max = int(np.argmax(ci))
-    i_mid = int(np.argmin(np.abs(d)))
-    A = (d[i_min], scale.h)
-    B = (d[i_mid], scale.m)
-    C = (d[i_max], scale.l)
-    f = np.array([_piecewise_eval(x, A, B, C) for x in d])
+    lo, hi = d.min(), d.max()
+    inner = np.sort(d[(d > lo) & (d < hi)])
+    if inner.size:
+        mid = inner[np.argmin(np.abs(inner))]  # first of a tie is the lower d
+        f = np.interp(d, [lo, mid, hi], [scale.h, scale.m, scale.l])
+    else:
+        f = np.interp(d, [lo, hi], [scale.h, scale.l])
     return ExpertWeights(f / f.sum())
 
 
@@ -180,25 +155,6 @@ def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:
     if not (h > m > l):
         raise CredibilityOrderError("credibility anchors must satisfy h > m > l")
     return CredibilityScale3(float(h), float(m), float(l))
-
-
-def procedural_credibility(
-    i_min: float, i_mid: float, i_max: float, alpha: float = 1.0
-) -> CredibilityScale3:
-    """Derive (h, m, l) from inconsistency ratios instead of explicit judgments.
-
-    h = alpha * i_max / i_min, m = alpha * i_mid / i_min, l = 1, normalized
-    to sum 1.  Undefined for a perfectly consistent best expert (i_min = 0).
-    """
-    if alpha < 1.0:
-        raise DomainError("gain factor alpha must be >= 1")
-    if i_min <= 0.0:
-        raise DomainError("procedural credibility needs i_min > 0")
-    if not i_min <= i_mid <= i_max:
-        raise DomainError("need i_min <= i_mid <= i_max")
-    h = alpha * i_max / i_min
-    m = alpha * i_mid / i_min
-    return CredibilityScale3.from_ratios(h, m, 1.0)
 
 
 def mx_weights(

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ class TestKoczkodaj:
             for _ in range(10):
                 m = random_pcm(n, rng)
                 assert koczkodaj_k(m) == brute_force_koczkodaj(m.values)
+        m = random_pcm(90, rng)  # several blocks of the largest triad index
+        assert koczkodaj_k(m) == brute_force_koczkodaj(m.values)
+
+    def test_memory_stays_bounded(self):
+        m = random_pcm(150, np.random.default_rng(139))
+        tracemalloc.start()
+        try:
+            koczkodaj_k(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6  # one (n, n, n) float array alone is 27 MB
 
     def test_bounded_below_one(self):
         rng = np.random.default_rng(31)

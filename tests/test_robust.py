@@ -6,22 +6,20 @@ from hypothesis import strategies as st
 from groupahp import (
     CredibilityScale2,
     CredibilityScale3,
-    DegenerateMapError,
     DomainError,
     EXAMPLE_CREDIBILITY_MATRIX,
     ExpertPanel,
     PriorityVector,
     RobustConfig,
+    aggregate_panel,
     aid_weights,
     apdd_weights,
     consistent_matrix_from_priorities,
     credibility_from_matrix,
-    linear_map,
     method_weights,
     mx_weights,
     pcm_from_upper_triangle,
     preferential_distances,
-    procedural_credibility,
     robust_aggregate,
 )
 from groupahp.errors import CredibilityOrderError
@@ -32,6 +30,20 @@ from tests.test_core import random_pcm
 
 def random_panel(rng, k=5, n=4):
     return ExpertPanel(tuple(random_pcm(n, rng) for _ in range(k)))
+
+
+def pooled_panel(rng, k, distinct):
+    """k experts drawn with repetition from a pool of at most `distinct` matrices.
+
+    CIs tie often, and spreads run from consistent (CI 0) to far off the 1-9 scale.
+    """
+    n = int(rng.integers(3, 6))
+    pool = [
+        random_pcm(n, rng, spread) if spread > 1.0
+        else consistent_matrix_from_priorities(PriorityVector(rng.dirichlet(np.ones(n))))
+        for spread in rng.choice([1.0, 1.5, 9.0, 81.0], size=min(distinct, k))
+    ]
+    return ExpertPanel(tuple(pool[i] for i in rng.integers(len(pool), size=k)))
 
 
 class TestScales:
@@ -49,19 +61,7 @@ class TestScales:
         assert s.h / s.l == pytest.approx(9.0)
 
     def test_equal_anchors_allowed(self):
-        CredibilityScale3(0.4, 0.4, 0.2)  # legitimate for the procedural rule
-
-
-class TestLinearMap:
-    def test_interpolates(self):
-        assert linear_map((0.0, 5.0), (4.0, 1.0), 2.0) == pytest.approx(3.0)
-
-    def test_extrapolates(self):
-        assert linear_map((0.0, 5.0), (4.0, 1.0), 6.0) == pytest.approx(-1.0)
-
-    def test_degenerate_abscissae(self):
-        with pytest.raises(DegenerateMapError):
-            linear_map((1.0, 5.0), (1.0, 1.0), 0.5)
+        CredibilityScale3(0.4, 0.4, 0.2)  # what equal credibility_ratios give
 
 
 class TestAPDD:
@@ -134,18 +134,28 @@ class TestAID:
     @given(st.integers(2, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
     @settings(max_examples=80, deadline=None)
     def test_weight_ratio_stays_within_scale(self, k, distinct, seed):
-        # experts drawn with repetition from a small pool, so CIs tie often,
-        # spreads from consistent (CI 0) to far off the 1-9 scale
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(3, 6))
-        pool = [
-            random_pcm(n, rng, spread) if spread > 1.0
-            else consistent_matrix_from_priorities(PriorityVector(rng.dirichlet(np.ones(n))))
-            for spread in rng.choice([1.0, 1.5, 9.0, 81.0], size=min(distinct, k))
-        ]
-        panel = ExpertPanel(tuple(pool[i] for i in rng.integers(len(pool), size=k)))
+        panel = pooled_panel(np.random.default_rng(seed), k, distinct)
         r = aid_weights(panel).r
         assert r.max() / r.min() <= DEFAULT_SCALE3.h / DEFAULT_SCALE3.l * (1 + 1e-12)
+
+    def test_two_experts_get_h_and_l_in_either_order(self):
+        # no expert lies between the extremes, so the middle anchor is unused
+        good = consistent_matrix_from_priorities(PriorityVector.from_raw([1.0, 2.0, 3.0]))
+        bad = pcm_from_upper_triangle(3, [9.0, 1.0 / 9.0, 9.0])
+        h, l = DEFAULT_SCALE3.h, DEFAULT_SCALE3.l
+        expected = np.array([h, l]) / (h + l)
+        assert aid_weights(ExpertPanel((good, bad))).r == pytest.approx(expected, abs=1e-15)
+        assert aid_weights(ExpertPanel((bad, good))).r == pytest.approx(expected[::-1], abs=1e-15)
+
+    def test_exact_deviation_tie_goes_to_the_lower_deviation(self, monkeypatch):
+        cis = [0.0, 0.25, 0.75, 1.0]  # centred exactly: -1/2, -1/4, 1/4, 1/2
+        monkeypatch.setattr("groupahp.robust.panel_cis", lambda panel: cis)
+        panel = random_panel(np.random.default_rng(127), k=4)
+        h, m, l = DEFAULT_SCALE3.h, DEFAULT_SCALE3.m, DEFAULT_SCALE3.l
+        f = np.array([h, m, m + (l - m) * 2 / 3, l])
+        assert aid_weights(panel).r == pytest.approx(f / f.sum(), abs=1e-15)
+        cis.reverse()
+        assert aid_weights(panel).r == pytest.approx(f[::-1] / f.sum(), abs=1e-15)
 
     def test_weights_stay_positive_for_extreme_outlier(self):
         rng = np.random.default_rng(103)
@@ -171,20 +181,6 @@ class TestCredibilityResolution:
     def test_rejects_tied_anchors(self):
         with pytest.raises(CredibilityOrderError):
             credibility_from_matrix(pcm_from_upper_triangle(3, [1.0, 1.0, 1.0]))
-
-    def test_procedural_rule(self):
-        s = procedural_credibility(0.01, 0.02, 0.05, alpha=1.0)
-        assert s.h / s.l == pytest.approx(5.0)
-        assert s.m / s.l == pytest.approx(2.0)
-        assert s.h + s.m + s.l == pytest.approx(1.0)
-
-    def test_procedural_rejects_consistent_best_expert(self):
-        with pytest.raises(DomainError):
-            procedural_credibility(0.0, 0.02, 0.05)
-
-    def test_procedural_rejects_unordered_input(self):
-        with pytest.raises(DomainError):
-            procedural_credibility(0.05, 0.02, 0.01)
 
 
 class TestMX:
@@ -220,3 +216,21 @@ class TestDispatch:
     def test_default_scale_ratios(self):
         assert DEFAULT_SCALE3.h / DEFAULT_SCALE3.l == pytest.approx(9.0)
         assert DEFAULT_SCALE3.m / DEFAULT_SCALE3.l == pytest.approx(4.0)
+
+
+class TestExpertOrder:
+    @given(st.integers(2, 24), st.integers(1, 24), st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_permuting_experts_permutes_weights(self, k, distinct, seed):
+        # summation order moves the last ulps, hence the 1e-12 tolerance
+        rng = np.random.default_rng(seed)
+        panel = pooled_panel(rng, k, distinct)
+        perm = rng.permutation(k)
+        shuffled = ExpertPanel(tuple(panel.matrices[i] for i in perm))
+        classic = aggregate_panel(panel).weights
+        assert np.max(np.abs(aggregate_panel(shuffled).weights - classic)) <= 1e-12
+        for method in ("APDD", "AID", "MX"):
+            r = method_weights(panel, method).r
+            assert np.max(np.abs(method_weights(shuffled, method).r - r[perm])) <= 1e-12, method
+            v = robust_aggregate(panel, method).weights
+            assert np.max(np.abs(robust_aggregate(shuffled, method).weights - v)) <= 1e-12, method
