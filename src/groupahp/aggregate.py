@@ -13,7 +13,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector
-from .derive import panel_gmm
+from .derive import _panel_gmm_matrix
 from .errors import ShapeError
 
 
@@ -37,6 +37,12 @@ def aij(panel: ExpertPanel, r: ExpertWeights | None = None) -> PCMatrix:
     return PCMatrix(agg)
 
 
+def _weighted_geometric_mean(logs: np.ndarray, r: ExpertWeights | None) -> PriorityVector:
+    """Normalized exp(w @ logs) for a (k, n) matrix of log priorities."""
+    combined = np.exp(_weights_or_uniform(r, len(logs)) @ logs)
+    return PriorityVector(combined / combined.sum())
+
+
 def aip(
     priority_vectors: Sequence[PriorityVector], r: ExpertWeights | None = None
 ) -> PriorityVector:
@@ -46,16 +52,14 @@ def aip(
     n = priority_vectors[0].n
     if any(v.n != n for v in priority_vectors):
         raise ShapeError("all priority vectors must have the same length")
-    w = _weights_or_uniform(r, len(priority_vectors))
-    logs = np.stack([np.log(v.weights) for v in priority_vectors])
-    combined = np.exp(np.tensordot(w, logs, axes=1))
-    return PriorityVector(combined / combined.sum())
+    return _weighted_geometric_mean(np.log([v.weights for v in priority_vectors]), r)
 
 
 def aggregate_panel(panel: ExpertPanel, r: ExpertWeights | None = None) -> PriorityVector:
     """Group ranking of a panel: AIP over the per-expert GMM priorities.
 
-    Equivalent to deriving GMM priorities from the AIJ matrix (the two
-    routes commute under the geometric mean; covered by property tests).
+    Works on the panel's memoised log-GMM matrix.  Equivalent to deriving GMM
+    priorities from the AIJ matrix (the two routes commute under the geometric
+    mean; covered by property tests).
     """
-    return aip(panel_gmm(panel), r)
+    return _weighted_geometric_mean(_panel_gmm_matrix(panel)[1], r)

@@ -129,6 +129,8 @@ def _prepare_run(args) -> tuple[RunConfig, Path, list[Scenario]] | None:
 
 
 def cmd_experiment(args) -> int:
+    if args.workers is not None:
+        check_value("workers", args.workers, "--workers")
     prepared = _prepare_run(args)
     if prepared is None:
         return EXIT_IO

@@ -1,8 +1,10 @@
 """Domain types: pairwise comparison matrices, priority vectors, expert panels.
 
 All types validate their invariants at construction time and are immutable
-afterwards, so instances can be shared freely between threads.  A PCMatrix
-memoises its GMM vector and CI; memo writes are idempotent, so sharing stays safe.
+afterwards, so instances can be shared freely between threads.  A panel built
+from a (k, n, n) stack is validated as one array, and its slices are not checked
+again.  A PCMatrix memoises its GMM vector and CI, and an ExpertPanel its (k, n)
+GMM matrix and that matrix's log; memo writes are idempotent, so sharing stays safe.
 """
 
 from __future__ import annotations
@@ -23,12 +25,49 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     return arr
 
 
+def _unchecked(cls, **fields):
+    """An instance of a frozen type whose fields were validated in bulk."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
+def _check_stack(A: np.ndarray) -> None:
+    """Raise unless A is a (k, n, n) stack of positive reciprocal matrices.
+
+    The checks and messages are PCMatrix's, so a malformed slice is reported
+    as PCMatrix would report it alone.
+    """
+    if A.ndim != 3 or A.shape[1] != A.shape[2]:
+        raise ShapeError(f"expected a square matrix, got shape {A.shape[1:]}")
+    if A.shape[1] < 2:
+        raise ShapeError("a comparison matrix needs at least 2 alternatives")
+    if not np.all(np.isfinite(A)) or np.any(A <= 0.0):
+        raise DomainError("all matrix entries must be positive finite numbers")
+    if np.any(np.diagonal(A, axis1=1, axis2=2) != 1.0):
+        raise DomainError("diagonal entries must equal 1 exactly")
+    if np.any(np.abs(A * A.transpose(0, 2, 1) - 1.0) > RECIPROCITY_TOL):
+        raise DomainError(
+            f"reciprocity violated beyond tolerance {RECIPROCITY_TOL:g}"
+        )
+
+
+def _check_priorities(W: np.ndarray) -> None:
+    """Raise unless each row of the (k, n) array W is a priority vector."""
+    if W.ndim != 2 or W.shape[1] < 2:
+        raise ShapeError("a priority vector needs at least 2 components")
+    if not np.all(np.isfinite(W)) or np.any(W <= 0.0):
+        raise DomainError("all priorities must be positive finite numbers")
+    if np.any(np.abs(W.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL):
+        raise DomainError("priorities must sum to 1")
+
+
 class _ReadOnlyArrays:
     """Base of the frozen types: keeps their arrays read-only through pickling."""
 
     def __setstate__(self, state):
         # unpickled arrays come back writable
-        for value in state.values():
+        for value in (*state.values(), *state.get("_memo", {}).values()):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
         self.__dict__.update(state)
@@ -49,19 +88,7 @@ class PCMatrix(_ReadOnlyArrays):
 
     def __post_init__(self):
         arr = _frozen_array(self.values)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-        n = arr.shape[0]
-        if n < 2:
-            raise ShapeError("a comparison matrix needs at least 2 alternatives")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("all matrix entries must be positive finite numbers")
-        if np.any(np.diag(arr) != 1.0):
-            raise DomainError("diagonal entries must equal 1 exactly")
-        if np.max(np.abs(arr * arr.T - 1.0)) > RECIPROCITY_TOL:
-            raise DomainError(
-                f"reciprocity violated beyond tolerance {RECIPROCITY_TOL:g}"
-            )
+        _check_stack(arr[None])
         object.__setattr__(self, "values", arr)
 
     @property
@@ -77,13 +104,15 @@ class PriorityVector(_ReadOnlyArrays):
 
     def __post_init__(self):
         arr = _frozen_array(self.weights)
-        if arr.ndim != 1 or arr.size < 2:
-            raise ShapeError("a priority vector needs at least 2 components")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("all priorities must be positive finite numbers")
-        if abs(arr.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise DomainError("priorities must sum to 1")
+        _check_priorities(arr[None])
         object.__setattr__(self, "weights", arr)
+
+    @classmethod
+    def from_rows(cls, W) -> tuple["PriorityVector", ...]:
+        """Validate a (k, n) array once and wrap each read-only row as a PriorityVector."""
+        arr = _frozen_array(W)
+        _check_priorities(arr)
+        return tuple(_unchecked(cls, weights=w) for w in arr)
 
     @classmethod
     def from_raw(cls, values) -> "PriorityVector":
@@ -105,10 +134,11 @@ class PriorityVector(_ReadOnlyArrays):
 
 
 @dataclass(frozen=True)
-class ExpertPanel:
+class ExpertPanel(_ReadOnlyArrays):
     """Ordered collection of comparison matrices over the same alternatives."""
 
     matrices: tuple[PCMatrix, ...]
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(self.matrices)
@@ -118,6 +148,13 @@ class ExpertPanel:
         if any(m.n != n for m in mats):
             raise ShapeError("all panel matrices must share the same size")
         object.__setattr__(self, "matrices", mats)
+
+    @classmethod
+    def from_stack(cls, A) -> "ExpertPanel":
+        """Validate a (k, n, n) stack once and wrap each read-only slice as a PCMatrix."""
+        arr = _frozen_array(A)
+        _check_stack(arr)
+        return cls(tuple(_unchecked(PCMatrix, values=m, _memo={}) for m in arr))
 
     @property
     def k(self) -> int:

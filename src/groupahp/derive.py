@@ -16,8 +16,9 @@ def _row_gmm(A: np.ndarray) -> np.ndarray:
 
 def _memoise_gmm(mats: list[PCMatrix]) -> None:
     if mats:
-        for m, s in zip(mats, _row_gmm(np.stack([m.values for m in mats]))):
-            m._memo["gmm"] = PriorityVector(s)
+        vectors = PriorityVector.from_rows(_row_gmm(np.stack([m.values for m in mats])))
+        for m, v in zip(mats, vectors):
+            m._memo["gmm"] = v
 
 
 def gmm_priorities(C: PCMatrix) -> PriorityVector:
@@ -28,9 +29,25 @@ def gmm_priorities(C: PCMatrix) -> PriorityVector:
 
 
 def panel_gmm(panel: ExpertPanel) -> list[PriorityVector]:
-    """Each expert's GMM vector; the ones not yet memoised come from one log-mean."""
+    """Each expert's GMM vector; the ones not yet memoised come from one log-mean.
+
+    Also memoises, read-only on the panel, the (k, n) matrix of these vectors
+    and its log, which the aggregation kernels work on.
+    """
     _memoise_gmm([m for m in panel.matrices if "gmm" not in m._memo])
-    return [gmm_priorities(m) for m in panel.matrices]
+    vectors = [gmm_priorities(m) for m in panel.matrices]
+    if "log_gmm" not in panel._memo:
+        G = np.stack([v.weights for v in vectors])
+        panel._memo.update(gmm=G, log_gmm=np.log(G))
+        for x in panel._memo.values():
+            x.setflags(write=False)
+    return vectors
+
+
+def _panel_gmm_matrix(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
+    """The panel's read-only (k, n) GMM matrix and its log, through ``panel_gmm``."""
+    panel_gmm(panel)
+    return panel._memo["gmm"], panel._memo["log_gmm"]
 
 
 def evm_stack(
@@ -49,12 +66,17 @@ def evm_stack(
         raise DomainError("tol must be positive")
     v = _row_gmm(A)
     active = np.arange(len(A))
+    A_act, v_act = A, v
     for _ in range(max_iter):
-        av = (A[active] @ v[active, :, None])[..., 0]
+        av = (A_act @ v_act[..., None])[..., 0]
         v_next = av / av.sum(axis=1, keepdims=True)
-        moving = ~(abs(v_next - v[active]).max(axis=1) < tol)  # NaN keeps moving
+        moving = ~(abs(v_next - v_act).max(axis=1) < tol)  # NaN keeps moving
+        if moving.all():
+            v_act = v_next
+            continue
+        # some matrix has converged: store every vector, then drop the converged
         v[active] = v_next
-        active = active[moving]
+        active, A_act, v_act = active[moving], A_act[moving], v_next[moving]
         if not active.size:
             break
     else:

@@ -1,4 +1,8 @@
-"""Distances between ranking vectors, cardinal and ordinal."""
+"""Distances between ranking vectors, cardinal and ordinal.
+
+The cardinal distances reduce over the last axis, so one vector against a
+(k, n) stack gives the k distances, each bitwise what a single pair gives.
+"""
 
 from __future__ import annotations
 
@@ -11,36 +15,42 @@ from .errors import ShapeError
 def _pair(u, v) -> tuple[np.ndarray, np.ndarray]:
     a = u.weights if isinstance(u, PriorityVector) else np.asarray(u, dtype=float)
     b = v.weights if isinstance(v, PriorityVector) else np.asarray(v, dtype=float)
-    if a.shape != b.shape:
+    if a.shape[-1:] != b.shape[-1:]:
         raise ShapeError(f"vector lengths differ: {a.shape} vs {b.shape}")
     return a, b
 
 
-def manhattan(u, v) -> float:
+def _out(d):
+    # a float for one pair, an array for a stack
+    return d if np.ndim(d) else float(d)
+
+
+def manhattan(u, v):
     """Sum of absolute componentwise differences; at most 2 for normalized vectors."""
     a, b = _pair(u, v)
-    return float(np.sum(np.abs(a - b)))
+    return _out(np.sum(np.abs(a - b), axis=-1))
 
 
-def manhattan_mean(u, v) -> float:
+def manhattan_mean(u, v):
     """Manhattan distance averaged over the n components."""
     a, b = _pair(u, v)
-    return float(np.mean(np.abs(a - b)))
+    return _out(np.mean(np.abs(a - b), axis=-1))
 
 
-def chebyshev(u, v) -> float:
+def chebyshev(u, v):
     """Largest componentwise gap."""
     a, b = _pair(u, v)
-    return float(np.max(np.abs(a - b)))
+    return _out(np.max(np.abs(a - b), axis=-1))
 
 
-def euclidean(u, v) -> float:
+def euclidean(u, v):
     a, b = _pair(u, v)
-    return float(np.linalg.norm(a - b))
+    d = a - b
+    return _out(np.sqrt(np.vecdot(d, d)))
 
 
 def kendall_tau_distance(u, v) -> int:
-    """Number of index pairs whose order disagrees between u and v.
+    """Number of index pairs whose order disagrees between two vectors u and v.
 
     A pair tied in one vector but strictly ordered in the other counts as
     a disagreement (the sign of the difference is compared directly, and
@@ -49,8 +59,8 @@ def kendall_tau_distance(u, v) -> int:
     a, b = _pair(u, v)
     su = np.sign(a[:, None] - a[None, :])
     sv = np.sign(b[:, None] - b[None, :])
-    iu = np.triu_indices(a.size, k=1)
-    return int(np.count_nonzero(su[iu] != sv[iu]))
+    # both sign matrices are exactly antisymmetric: each pair disagrees twice
+    return int(np.count_nonzero(su != sv)) // 2
 
 
 def kendall_tau_normalized(u, v) -> float:

@@ -9,6 +9,7 @@ much the schemes disturb an honest, unmanipulated panel.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ METHODS = ("APDD", "AID", "MX")
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
 CI_THRESHOLD = 0.1  # the low-inconsistency region the headline statistics cover
+CHUNK = 32  # scenarios per pool task
 
 
 @dataclass(frozen=True)
@@ -79,7 +81,7 @@ def perturb(
     m = np.repeat(C_w.values[None], k, axis=0)
     m[:, iu[0], iu[1]] = C_w.values[iu] * eps
     m[:, iu[1], iu[0]] = 1.0 / m[:, iu[0], iu[1]]
-    return ExpertPanel(tuple(PCMatrix(x) for x in m))
+    return ExpertPanel.from_stack(m)
 
 
 def generate_corpus(
@@ -159,10 +161,12 @@ def _run_experiment2_one(args) -> dict:
 
 
 def _map(fn, items, workers: int):
+    # no more processes than chunks or CPUs: a fork pool starts them all at once
+    workers = min(workers, -(-len(items) // CHUNK), os.cpu_count() or 1)
     if workers <= 1:
         return [fn(it) for it in items]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=32))
+        return list(pool.map(fn, items, chunksize=CHUNK))
 
 
 def experiment1(

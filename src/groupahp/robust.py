@@ -13,9 +13,9 @@ from typing import Literal
 
 import numpy as np
 
-from .aggregate import aip
+from .aggregate import _weighted_geometric_mean, aggregate_panel
 from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector
-from .derive import gmm_priorities, panel_gmm
+from .derive import _panel_gmm_matrix, gmm_priorities
 from .errors import CredibilityOrderError, DomainError
 from .inconsistency import panel_cis
 from .metrics import CARDINAL_METRICS
@@ -75,10 +75,8 @@ def preferential_distances(
     panel: ExpertPanel, metric: MetricName = "manhattan"
 ) -> np.ndarray:
     """Distance of each expert's GMM vector from the equal-weight aggregate."""
-    dist = CARDINAL_METRICS[metric]
-    vectors = panel_gmm(panel)
-    group = aip(vectors)
-    return np.array([dist(group, v) for v in vectors])
+    G, L = _panel_gmm_matrix(panel)
+    return CARDINAL_METRICS[metric](_weighted_geometric_mean(L, None), G)
 
 
 def inconsistency_distances(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
@@ -204,5 +202,4 @@ def robust_aggregate(
     panel: ExpertPanel, method: MethodName, config: RobustConfig = RobustConfig()
 ) -> PriorityVector:
     """Group ranking using the chosen weighting scheme and weighted AIP."""
-    r = method_weights(panel, method, config)
-    return aip(panel_gmm(panel), r)
+    return aggregate_panel(panel, method_weights(panel, method, config))

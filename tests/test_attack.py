@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupahp import (
     DomainError,
@@ -51,6 +53,24 @@ class TestBribeMatrix:
         doctored = bribe_matrix(random_pcm(6, rng), 4, 2, saturation=7.0)
         v = doctored.values
         assert np.max(np.abs(v * v.T - 1.0)) <= 1e-12
+
+    @given(
+        n=st.integers(2, 12),
+        saturation=st.floats(1.01, 81.0),
+        spread=st.floats(1.0, 81.0),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_reciprocal_and_local(self, n, saturation, spread, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        promoted, demoted = data.draw(st.permutations(range(n)))[:2]
+        m = random_pcm(n, rng, spread)
+        v = bribe_matrix(m, promoted, demoted, saturation).values
+        assert np.max(np.abs(v * v.T - 1.0)) <= 1e-12
+        touched = np.zeros((n, n), dtype=bool)
+        touched[[promoted, demoted], :] = touched[:, [promoted, demoted]] = True
+        np.fill_diagonal(touched, False)
+        assert np.array_equal(v[~touched], m.values[~touched])
 
     def test_rejects_bad_arguments(self):
         rng = np.random.default_rng(149)

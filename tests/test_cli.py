@@ -118,6 +118,16 @@ class TestExperiment:
         assert "--seed" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_one_are_rejected(self, workers, small_config, tmp_path, capsys):
+        out_dir = tmp_path / "o"
+        argv = ["experiment", "--which", "2", "--config", small_config,
+                "--workers", workers, "--out", str(out_dir)]
+        assert main(argv) == 3
+        assert "--workers must be >= 1" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
 class TestGen:
     def test_writes_scenarios_and_index(self, small_config, tmp_path, capsys):
         out_dir = tmp_path / "corpus"

@@ -14,6 +14,7 @@ from groupahp import (
     ShapeError,
     consistent_matrix_from_priorities,
     gmm_priorities,
+    panel_gmm,
     pcm_from_upper_triangle,
     resymmetrize,
 )
@@ -120,6 +121,88 @@ class TestExpertPanel:
             panel.replace(5, panel.matrices[0])
 
 
+MALFORMATIONS = ("nan", "inf", "zero", "negative", "diagonal", "reciprocity")
+
+
+def malform(m: np.ndarray, defect: str, i: int, j: int) -> None:
+    """Break one off-diagonal entry (i, j), i != j, or the diagonal entry (i, i)."""
+    if defect == "diagonal":
+        m[i, i] = 1.0 + 1e-15
+    elif defect == "reciprocity":
+        m[i, j] *= 1.0 + 1e-8
+    else:
+        m[i, j] = {"nan": np.nan, "inf": np.inf, "zero": 0.0, "negative": -m[i, j]}[defect]
+
+
+def raised(fn, *args) -> tuple[type, str]:
+    with pytest.raises((ShapeError, DomainError)) as info:
+        fn(*args)
+    return info.type, str(info.value)
+
+
+class TestFromStack:
+    def test_wraps_read_only_slices(self):
+        rng = np.random.default_rng(5)
+        stack = np.stack([random_pcm(4, rng).values for _ in range(3)])
+        panel = ExpertPanel.from_stack(stack)
+        assert (panel.k, panel.n) == (3, 4)
+        for m, values in zip(panel.matrices, stack):
+            assert isinstance(m, PCMatrix)
+            assert np.array_equal(m.values, values)
+            assert not m.values.flags.writeable
+        stack[0, 0, 1] = 100.0  # the panel holds its own copy
+        assert panel.matrices[0].values[0, 1] != 100.0
+        assert panel.matrices[0]._memo is not panel.matrices[1]._memo
+
+    @given(
+        k=st.integers(1, 24),
+        n=st.integers(2, 9),
+        defect=st.sampled_from(MALFORMATIONS),
+        data=st.data(),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_rejects_a_malformed_slice_as_pcmatrix_does(self, k, n, defect, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        stack = np.stack([random_pcm(n, rng).values for _ in range(k)])
+        q = data.draw(st.integers(0, k - 1))
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        malform(stack[q], defect, i, j)
+        assert raised(ExpertPanel.from_stack, stack) == raised(PCMatrix, stack[q])
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 3), (2, 1, 1), (2, 0, 0)], ids=["non-square", "1x1", "0x0"]
+    )
+    def test_rejects_bad_shapes_as_pcmatrix_does(self, shape):
+        stack = np.ones(shape)
+        assert raised(ExpertPanel.from_stack, stack) == raised(PCMatrix, stack[0])
+
+    def test_rejects_an_empty_stack(self):
+        with pytest.raises(ShapeError, match="at least one expert"):
+            ExpertPanel.from_stack(np.ones((0, 3, 3)))
+
+
+class TestFromRows:
+    def test_wraps_read_only_rows(self):
+        rows = np.array([[0.25, 0.75], [0.5, 0.5]])
+        vectors = PriorityVector.from_rows(rows)
+        for v, row in zip(vectors, rows):
+            assert isinstance(v, PriorityVector)
+            assert np.array_equal(v.weights, row)
+            assert not v.weights.flags.writeable
+
+    @pytest.mark.parametrize(
+        "row", [[0.5, 0.6], [0.0, 1.0], [np.nan, 1.0], [-0.5, 1.5]],
+        ids=["unnormalized", "zero", "nan", "negative"],
+    )
+    def test_rejects_a_bad_row_as_priorityvector_does(self, row):
+        rows = np.array([[0.25, 0.75], row, [0.5, 0.5]])
+        assert raised(PriorityVector.from_rows, rows) == raised(PriorityVector, rows[1])
+
+    def test_rejects_single_component_rows(self):
+        rows = np.ones((2, 1))
+        assert raised(PriorityVector.from_rows, rows) == raised(PriorityVector, rows[0])
+
+
 class TestExpertWeights:
     def test_uniform(self):
         w = ExpertWeights.uniform(4)
@@ -187,3 +270,15 @@ class TestPickle:
         gmm_priorities(m)
         copy = pickle.loads(pickle.dumps(m))
         assert not gmm_priorities(copy).weights.flags.writeable
+
+    def test_panel_memo_comes_back_read_only(self):
+        rng = np.random.default_rng(3)
+        panel = ExpertPanel.from_stack(np.stack([random_pcm(4, rng).values for _ in range(3)]))
+        panel_gmm(panel)
+        copy = pickle.loads(pickle.dumps(panel))
+        assert copy._memo.keys() == panel._memo.keys() == {"gmm", "log_gmm"}
+        for key, value in copy._memo.items():
+            assert np.array_equal(value, panel._memo[key])
+            assert not value.flags.writeable
+        for m in copy.matrices:
+            assert not m.values.flags.writeable

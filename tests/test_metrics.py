@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from groupahp import (
     PriorityVector,
+    ShapeError,
     chebyshev,
     euclidean,
     kendall_tau_distance,
@@ -65,6 +66,34 @@ class TestCardinalMetrics:
         a, b = pair(raw_a, raw_b)
         assert chebyshev(a, b) <= manhattan(a, b) + 1e-12
 
+    @given(
+        n=st.integers(2, 30),
+        k=st.integers(1, 24),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100)
+    def test_stack_is_bitwise_the_pairs(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        group = PriorityVector(rng.dirichlet(np.ones(n)))
+        stack = rng.dirichlet(np.ones(n), size=k)
+        for d in (manhattan, chebyshev, euclidean, manhattan_mean):
+            stacked = d(group, stack)
+            assert stacked.shape == (k,)
+            assert stacked.tolist() == [d(group, row) for row in stack]
+            assert isinstance(d(group, stack[0]), float)
+        # the row-wise sum of squares (np.linalg.norm(..., axis=-1)) differs in
+        # the last bit; a pair's Euclidean distance stays its dot-product norm
+        assert [euclidean(group, row) for row in stack] == [
+            float(np.linalg.norm(group.weights - row)) for row in stack
+        ]
+
+    def test_rejects_different_lengths(self):
+        for d in (manhattan, chebyshev, euclidean, manhattan_mean, kendall_tau_distance):
+            with pytest.raises(ShapeError):
+                d(np.array([0.5, 0.5]), np.array([0.2, 0.3, 0.5]))
+        with pytest.raises(ShapeError):
+            manhattan(np.array([0.5, 0.5]), np.ones((4, 3)) / 3)
+
     def test_manhattan_mean_is_manhattan_over_n(self):
         a = PriorityVector.from_raw([1.0, 2.0, 3.0, 4.0])
         b = PriorityVector.from_raw([4.0, 3.0, 2.0, 1.0])
@@ -102,6 +131,16 @@ class TestKendall:
             assert kendall_tau_distance(a, b) == brute_force_kendall(
                 a.weights, b.weights
             )
+
+    @given(
+        st.lists(st.integers(1, 4), min_size=2, max_size=12),
+        st.lists(st.integers(1, 4), min_size=2, max_size=12),
+    )
+    @settings(max_examples=200)
+    def test_matches_brute_force_with_ties(self, raw_a, raw_b):
+        n = min(len(raw_a), len(raw_b))
+        a, b = np.array(raw_a[:n], dtype=float), np.array(raw_b[:n], dtype=float)
+        assert kendall_tau_distance(a, b) == brute_force_kendall(a, b)
 
     @given(vectors, vectors)
     @settings(max_examples=100)

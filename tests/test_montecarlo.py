@@ -1,6 +1,9 @@
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
+from groupahp import montecarlo
 from groupahp import (
     DomainError,
     PriorityVector,
@@ -120,6 +123,45 @@ class TestGeneration:
         assert s.mean_ci == pytest.approx(panel_mean_ci(s.panel))
 
 
+class FakePool:
+    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
+
+    sizes: list = []
+
+    def __init__(self, max_workers):
+        FakePool.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items, chunksize):
+        return map(fn, items)
+
+
+class TestPoolSize:
+    @pytest.mark.parametrize(
+        "workers, items, cpus, size",
+        [
+            (2, 128, 2, 2),  # the benchmark's pool
+            (1000, 64, 8, 2),  # no more workers than 32-scenario chunks
+            (1000, 65, 8, 3),
+            (1000, 4000, 8, 8),  # no more workers than CPUs
+            (3, 4000, 8, 3),
+            (1000, 4000, None, None),  # CPU count unknown: serial
+            (4, 32, 8, None),  # one chunk: serial
+        ],
+    )
+    def test_pool_size_is_bounded(self, monkeypatch, workers, items, cpus, size):
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(FakePool, "sizes", [])
+        assert montecarlo._map(abs, range(-items, 0), workers) == list(range(items, 0, -1))
+        assert FakePool.sizes == ([] if size is None else [size])
+
+
 class TestClassification:
     def test_full_match_is_rr(self):
         a = PriorityVector.from_raw([4.0, 3.0, 2.0, 1.0])
@@ -165,6 +207,20 @@ class TestExperiments:
 
     def test_parallel_matches_serial(self, small_corpus, exp2):
         assert experiment2(small_corpus, workers=2) == exp2
+
+    def test_pool_of_two_matches_serial(self, monkeypatch):
+        # 40 scenarios are two chunks, so two workers really start
+        corpus = generate_corpus(321, {4: 10, 5: 10}, SMALL_ALPHAS, 4, "log-uniform")
+        sizes = []
+
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert experiment2(corpus, workers=2) == experiment2(corpus)
+        assert sizes == [2]
 
     def test_summary_rows_sorted_and_typed(self, exp1):
         rows = summarize(exp1)

@@ -1,4 +1,4 @@
-"""Properties of the stacked panel kernels: panel_cis, panel_gmm and evm_stack."""
+"""Properties of the stacked panel kernels: panel_cis, panel_gmm, evm_stack and aggregation."""
 
 from unittest import mock
 
@@ -10,17 +10,22 @@ from hypothesis import strategies as st
 from groupahp import (
     ConvergenceError,
     ExpertPanel,
+    ExpertWeights,
     PCMatrix,
     PriorityVector,
+    aggregate_panel,
+    aip,
     bribe_matrix,
     consistent_matrix_from_priorities,
     evm_stack,
     gmm_priorities,
     panel_cis,
     panel_gmm,
+    preferential_distances,
     saaty_ci,
 )
 from groupahp import derive, inconsistency
+from groupahp.metrics import CARDINAL_METRICS
 from tests.test_core import random_pcm
 
 KINDS = ("perturbed", "consistent", "bribed", "tied")
@@ -106,3 +111,44 @@ def test_each_matrix_stops_on_its_own_test():
     for i, m in enumerate((fast, slow)):
         alone_v, alone_lam = evm_stack(m.values[None])
         assert np.array_equal(v[i], alone_v[0]) and lam[i] == alone_lam[0]
+
+
+def reference_aip(vectors, w) -> np.ndarray:
+    """The weighted geometric mean written out, one log vector per expert."""
+    combined = np.exp(np.tensordot(w, np.stack([np.log(v.weights) for v in vectors]), axes=1))
+    return combined / combined.sum()
+
+
+@given(panels, st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_aggregation_kernel_on_the_panel_memo(panel, seed):
+    vectors = panel_gmm(panel)
+    G, L = panel._memo["gmm"], panel._memo["log_gmm"]
+    assert np.array_equal(G, np.stack([v.weights for v in vectors]))
+    assert np.array_equal(L, np.log(G))
+    assert not (G.flags.writeable or L.flags.writeable)
+    w = np.random.default_rng(seed).dirichlet(np.ones(panel.k))
+    for r, weights in ((None, np.full(panel.k, 1.0 / panel.k)), (ExpertWeights(w), w)):
+        expected = reference_aip(vectors, weights)
+        assert np.array_equal(aggregate_panel(panel, r).weights, expected)
+        assert np.array_equal(aip(vectors, r).weights, expected)
+    group = aip(vectors)
+    for metric, dist in CARDINAL_METRICS.items():
+        expected = [dist(group, v) for v in vectors]
+        assert preferential_distances(panel, metric).tolist() == expected
+
+
+def test_panel_memo_is_filled_once():
+    rng = np.random.default_rng(29)
+    panel = ExpertPanel(tuple(random_pcm(5, rng) for _ in range(4)))
+    first = panel_gmm(panel)
+    G = panel._memo["gmm"]
+    assert panel_gmm(panel) == first
+    aggregate_panel(panel)
+    assert panel._memo["gmm"] is G
+    # a replaced expert makes a new panel with its own memo
+    other = panel.replace(0, random_pcm(5, rng))
+    assert not other._memo
+    aggregate_panel(other)
+    assert not np.array_equal(other._memo["gmm"][0], G[0])
+    assert np.array_equal(other._memo["gmm"][1:], G[1:])

@@ -87,6 +87,23 @@ class TestAPDD:
         panel = ExpertPanel((m, m, m))
         assert np.allclose(apdd_weights(panel).r, 1 / 3)
 
+    @given(
+        n=st.integers(2, 8),
+        copies=st.integers(1, 3),
+        metric=st.sampled_from(["manhattan", "euclidean", "chebyshev"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equidistant_panel_gets_uniform_weights(self, n, copies, metric, seed):
+        # every cyclic shift of one vector: the aggregate is uniform, and each
+        # expert sits at the same distance from it
+        w = np.random.default_rng(seed).dirichlet(np.ones(n)) + 1e-3
+        shifts = [PriorityVector.from_raw(np.roll(w, s)) for s in range(n)]
+        panel = ExpertPanel(tuple(consistent_matrix_from_priorities(v) for v in shifts) * copies)
+        d = preferential_distances(panel, metric)
+        assert d.max() - d.min() < 1e-12
+        assert np.array_equal(apdd_weights(panel, metric=metric).r, np.full(panel.k, 1 / panel.k))
+
     def test_published_example_weights(self, eight_panel):
         printed = normalized([0.165, 0.11, 0.16, 0.15, 0.16, 0.15, 0.0331, 0.054])
         assert np.max(np.abs(apdd_weights(eight_panel).r - printed)) <= 0.01
