@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aggregate import aggregate_panel
+import numpy as np
+
+from .aggregate import _weighted_geometric_mean, aggregate_panel
 from .core import ExpertPanel, PCMatrix, PriorityVector
-from .derive import gmm_priorities
+from .derive import _panel_gmm_matrix, gmm_priorities
 from .errors import DomainError, ShapeError
 
 
@@ -57,23 +59,27 @@ def run_attack(
     """Bribe experts one by one until the honest runner-up tops the ranking.
 
     Support for the incumbent is ranked once, on the honest panel: a bribe
-    changes only the bribed expert's matrix, and nobody is bribed twice.
+    changes only the bribed expert's matrix, and nobody is bribed twice.  So
+    each bribe rewrites one row of a copy of the panel's log-GMM matrix, and
+    the manipulated panel is built once, at the end.
     """
     budget = panel.k if max_bribes is None else max(max_bribes, 0)
 
     honest = aggregate_panel(panel)
     order = honest.ranking()
     winner, runner_up = int(order[0]), int(order[1])
-    backing = [gmm_priorities(m).weights[winner] for m in panel.matrices]
+    G, L = _panel_gmm_matrix(panel)
     # descending support, ties towards the lower expert index
-    queue = sorted(range(panel.k), key=lambda q: (-backing[q], q))
+    queue = np.argsort(-G[:, winner], kind="stable")[:budget].tolist()
 
-    current, ranking = panel, honest
-    for used, target in enumerate(queue[:budget], start=1):
-        current = current.replace(
-            target, bribe_matrix(current.matrices[target], runner_up, winner, saturation)
-        )
-        ranking = aggregate_panel(current)
-        if int(ranking.ranking()[0]) == runner_up:
-            return AttackOutcome(tuple(queue[:used]), current, True, ranking, honest)
-    return AttackOutcome(tuple(queue[:budget]), current, False, ranking, honest)
+    mats, L = list(panel.matrices), L.copy()
+    ranking, used, succeeded = honest, 0, False
+    for used, target in enumerate(queue, start=1):
+        mats[target] = bribe_matrix(mats[target], runner_up, winner, saturation)
+        L[target] = np.log(gmm_priorities(mats[target]).weights)
+        ranking = _weighted_geometric_mean(L, None)
+        succeeded = int(ranking.ranking()[0]) == runner_up
+        if succeeded:
+            break
+    manipulated = ExpertPanel(tuple(mats)) if used else panel
+    return AttackOutcome(tuple(queue[:used]), manipulated, succeeded, ranking, honest)

@@ -12,9 +12,13 @@ _TRIAD_BLOCK = 1 << 16
 
 
 def _memoise_cis(mats: list[PCMatrix]) -> None:
-    if mats:
-        _, lam = evm_stack(np.stack([m.values for m in mats]))
-        for m, x in zip(mats, lam):
+    """Memoise each matrix's CI, with one power iteration per matrix size."""
+    by_n: dict[int, dict[int, PCMatrix]] = {}
+    for m in mats:
+        by_n.setdefault(m.n, {})[id(m)] = m  # a repeated matrix is derived once
+    for group in by_n.values():
+        _, lam = evm_stack(np.stack([m.values for m in group.values()]))
+        for m, x in zip(group.values(), lam):
             m._memo["ci"] = max(0.0, (float(x) - m.n) / (m.n - 1))
 
 
@@ -34,6 +38,11 @@ def panel_cis(panel: ExpertPanel) -> list[float]:
     """Each expert's CI; the ones not yet memoised come from one power iteration."""
     _memoise_cis([m for m in panel.matrices if "ci" not in m._memo])
     return [saaty_ci(m) for m in panel.matrices]
+
+
+def fill_cis(panels) -> None:
+    """Memoise the CI of every matrix in ``panels`` that lacks one, across all of them."""
+    _memoise_cis([m for p in panels for m in p.matrices if "ci" not in m._memo])
 
 
 def koczkodaj_k(C: PCMatrix) -> float:

@@ -19,7 +19,7 @@ from .aggregate import aggregate_panel
 from .attack import run_attack
 from .core import ExpertPanel, PCMatrix, PriorityVector, consistent_matrix_from_priorities
 from .errors import DomainError, EmptyReportError
-from .inconsistency import panel_mean_ci
+from .inconsistency import fill_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
 from .robust import RobustConfig, robust_aggregate
 
@@ -28,7 +28,7 @@ METHODS = ("APDD", "AID", "MX")
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
 CI_THRESHOLD = 0.1  # the low-inconsistency region the headline statistics cover
-CHUNK = 32  # scenarios per pool task
+CHUNK = 32  # scenarios per chunk: one pool task, and one CI fill in experiment 1
 
 
 @dataclass(frozen=True)
@@ -106,17 +106,17 @@ def generate_corpus(
                 if top[0] - top[1] >= 1e-6:
                     break
             bases.append(w)
-    scenarios: list[Scenario] = []
-    sid = 0
+    drawn = []
     for w in bases:
         C_w = consistent_matrix_from_priorities(w)
-        for alpha in alphas:
-            panel = perturb(C_w, float(alpha), rng, epsilon_distribution, panel_size)
-            scenarios.append(
-                Scenario(sid, w, float(alpha), panel, panel_mean_ci(panel))
-            )
-            sid += 1
-    return scenarios
+        for alpha in map(float, alphas):
+            drawn.append((w, alpha, perturb(C_w, alpha, rng, epsilon_distribution, panel_size)))
+    # every CI of the corpus from one power iteration per matrix size
+    fill_cis([panel for *_, panel in drawn])
+    return [
+        Scenario(sid, w, alpha, panel, panel_mean_ci(panel))
+        for sid, (w, alpha, panel) in enumerate(drawn)
+    ]
 
 
 def _classify(honest: PriorityVector, restored: PriorityVector) -> str:
@@ -134,8 +134,7 @@ def _column(metric: str, method: str) -> str:
 
 
 def _run_experiment1_one(args) -> dict:
-    scenario, config, max_bribes, saturation = args
-    outcome = run_attack(scenario.panel, max_bribes, saturation)
+    scenario, config, outcome = args
     honest = outcome.honest_ranking
     restored = {m: robust_aggregate(outcome.manipulated_panel, m, config) for m in METHODS}
     return {
@@ -146,6 +145,13 @@ def _run_experiment1_one(args) -> dict:
         **{_column("class", m): _classify(honest, r) for m, r in restored.items()},
         **{_column("manhattan", m): manhattan_mean(honest, r) for m, r in restored.items()},
     }
+
+
+def _run_experiment1_chunk(chunk: list) -> list[dict]:
+    # attack the whole chunk first, so that the bribed matrices' CIs come from one fill
+    outcomes = [run_attack(s.panel, bribes, saturation) for s, _, bribes, saturation in chunk]
+    fill_cis([o.manipulated_panel for o in outcomes])
+    return [_run_experiment1_one((s, config, o)) for (s, config, *_), o in zip(chunk, outcomes)]
 
 
 def _run_experiment2_one(args) -> dict:
@@ -160,13 +166,19 @@ def _run_experiment2_one(args) -> dict:
     }
 
 
+def _run_experiment2_chunk(chunk: list) -> list[dict]:
+    return [_run_experiment2_one(args) for args in chunk]
+
+
 def _map(fn, items, workers: int):
+    """Concatenated ``fn(chunk)`` over the CHUNK-sized slices of ``items``, in order."""
+    chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
     # no more processes than chunks or CPUs: a fork pool starts them all at once
-    workers = min(workers, -(-len(items) // CHUNK), os.cpu_count() or 1)
+    workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
-        return [fn(it) for it in items]
+        return [row for chunk in chunks for row in fn(chunk)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=CHUNK))
+        return [row for rows in pool.map(fn, chunks, chunksize=1) for row in rows]
 
 
 def experiment1(
@@ -181,7 +193,7 @@ def experiment1(
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
     args = [(s, config, max_bribes, saturation) for s in scenarios]
-    return _map(_run_experiment1_one, args, workers)
+    return _map(_run_experiment1_chunk, args, workers)
 
 
 def experiment2(
@@ -194,7 +206,7 @@ def experiment2(
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
     args = [(s, config) for s in scenarios]
-    return _map(_run_experiment2_one, args, workers)
+    return _map(_run_experiment2_chunk, args, workers)
 
 
 def _bucket(ci: float) -> float:

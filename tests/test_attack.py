@@ -6,12 +6,14 @@ from hypothesis import strategies as st
 from groupahp import (
     DomainError,
     ExpertPanel,
+    PCMatrix,
     PriorityVector,
     ShapeError,
     aggregate_panel,
     bribe_matrix,
     consistent_matrix_from_priorities,
     gmm_priorities,
+    perturb,
     run_attack,
 )
 from tests.conftest import normalized
@@ -130,6 +132,57 @@ class TestRunAttack:
         run_attack(panel)
         for m, b in zip(panel.matrices, before):
             assert np.array_equal(m.values, b)
+
+
+def one_panel_per_bribe(panel, max_bribes, saturation):
+    """The attack written out: a new panel and a full aggregation after every bribe."""
+    budget = panel.k if max_bribes is None else max(max_bribes, 0)
+    honest = aggregate_panel(panel)
+    order = honest.ranking()
+    winner, runner_up = int(order[0]), int(order[1])
+    backing = [gmm_priorities(m).weights[winner] for m in panel.matrices]
+    queue = sorted(range(panel.k), key=lambda q: (-backing[q], q))
+    current, ranking = panel, honest
+    for used, target in enumerate(queue[:budget], start=1):
+        current = current.replace(
+            target, bribe_matrix(current.matrices[target], runner_up, winner, saturation)
+        )
+        ranking = aggregate_panel(current)
+        if int(ranking.ranking()[0]) == runner_up:
+            return tuple(queue[:used]), current, True, ranking, honest
+    return tuple(queue[:budget]), current, False, ranking, honest
+
+
+def copied(panel):
+    return ExpertPanel(tuple(PCMatrix(m.values.copy()) for m in panel.matrices))
+
+
+class TestInPlaceBribes:
+    @given(
+        k=st.integers(1, 24),
+        n=st.integers(2, 9),
+        alpha=st.one_of(st.just(1.0), st.floats(1.0, 81.0)),
+        budget=st.sampled_from(["none", 0, 1, "k+1"]),
+        saturation=st.floats(2.0, 9.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_one_panel_per_bribe(self, k, n, alpha, budget, saturation, seed):
+        rng = np.random.default_rng(seed)
+        w = PriorityVector.from_raw(rng.dirichlet(np.ones(n)) + 1e-3)
+        base = consistent_matrix_from_priorities(w)
+        panel = perturb(base, alpha, rng, "log-uniform", k)  # alpha 1 ties every expert
+        max_bribes = {"none": None, "k+1": k + 1}.get(budget, budget)
+        outcome = run_attack(copied(panel), max_bribes, saturation)
+        bribed, manipulated, succeeded, ranking, honest = one_panel_per_bribe(
+            copied(panel), max_bribes, saturation
+        )
+        assert outcome.bribed_indices == bribed
+        assert outcome.succeeded == succeeded
+        for got, want in zip(outcome.manipulated_panel.matrices, manipulated.matrices, strict=True):
+            assert np.array_equal(got.values, want.values)
+        assert np.array_equal(outcome.manipulated_ranking.weights, ranking.weights)
+        assert np.array_equal(outcome.honest_ranking.weights, honest.weights)
 
 
 class TestPublishedReplay:

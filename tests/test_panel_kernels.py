@@ -1,4 +1,4 @@
-"""Properties of the stacked panel kernels: panel_cis, panel_gmm, evm_stack and aggregation."""
+"""Properties of the stacked panel kernels: panel_cis, fill_cis, panel_gmm, evm_stack, aggregation."""
 
 from unittest import mock
 
@@ -18,6 +18,7 @@ from groupahp import (
     bribe_matrix,
     consistent_matrix_from_priorities,
     evm_stack,
+    fill_cis,
     gmm_priorities,
     panel_cis,
     panel_gmm,
@@ -93,6 +94,38 @@ def test_partly_memoised_panel_computes_only_the_missing(panel, data):
         assert stacks == ([missing] if missing else [])
     for i, (ci, v) in before.items():
         assert cis[i] == ci and vectors[i] is v
+
+
+@given(st.lists(panels, min_size=1, max_size=6), st.data())
+@settings(max_examples=40, deadline=None)
+def test_fill_cis_runs_one_power_iteration_per_size(corpus, data):
+    # a panel that repeats another's matrices, and some CIs memoised beforehand
+    corpus.append(ExpertPanel(data.draw(st.permutations(corpus[0].matrices))))
+    everything = [m for p in corpus for m in p.matrices]
+    for i in data.draw(st.sets(st.integers(0, len(everything) - 1))):
+        saaty_ci(everything[i])
+    missing: dict[int, set] = {}
+    for m in everything:
+        if "ci" not in m._memo:
+            missing.setdefault(m.n, set()).add(id(m))
+    with mock.patch.object(inconsistency, "evm_stack", wraps=evm_stack) as power:
+        fill_cis(corpus)
+    stacks = sorted((a.shape[1], len(a)) for a in (call.args[0] for call in power.call_args_list))
+    assert stacks == sorted((n, len(ids)) for n, ids in missing.items())  # (n, distinct matrices)
+    for m in everything:
+        assert m._memo["ci"] == saaty_ci(fresh(m))
+
+
+@given(
+    n=st.integers(2, 30),
+    alpha=st.one_of(st.just(81.0), st.floats(1.0, 81.0)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_power_iteration_ci_matches_lapack(n, alpha, seed):
+    m = random_pcm(n, np.random.default_rng(seed), alpha)
+    lam = float(np.max(np.linalg.eigvals(m.values).real))
+    assert abs(saaty_ci(m) - max(0.0, (lam - n) / (n - 1))) <= 3e-11
 
 
 def test_evm_stack_raises_on_exhausted_budget():
