@@ -33,7 +33,6 @@ from .metrics import (
     chebyshev,
     euclidean,
     kendall_tau_distance,
-    kendall_tau_normalized,
     manhattan,
     manhattan_mean,
 )

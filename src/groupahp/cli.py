@@ -69,11 +69,10 @@ def cmd_aggregate(args) -> int:
 def cmd_attack(args) -> int:
     panel, ids = load_panel(args.input)
     config = load_config(args.config)
-    outcome = run_attack(
-        panel,
-        config.max_bribes if args.max_bribes is None else args.max_bribes,
-        config.saturation,
-    )
+    max_bribes = config.max_bribes
+    if args.max_bribes is not None:
+        max_bribes = check_value("max_bribes", args.max_bribes, "--max-bribes")
+    outcome = run_attack(panel, max_bribes, config.saturation)
     _print_vector("honest aggregate", outcome.honest_ranking.weights)
     print("bribed:", [ids[q] for q in outcome.bribed_indices])
     _print_vector("manipulated ranking", outcome.manipulated_ranking.weights)

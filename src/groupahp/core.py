@@ -164,14 +164,6 @@ class ExpertPanel(_ReadOnlyArrays):
     def n(self) -> int:
         return self.matrices[0].n
 
-    def replace(self, index: int, matrix: PCMatrix) -> "ExpertPanel":
-        """Return a new panel with one expert's matrix swapped out."""
-        if not 0 <= index < self.k:
-            raise ShapeError(f"expert index {index} out of range")
-        mats = list(self.matrices)
-        mats[index] = matrix
-        return ExpertPanel(tuple(mats))
-
 
 @dataclass(frozen=True)
 class ExpertWeights(_ReadOnlyArrays):
@@ -216,24 +208,27 @@ def pcm_from_upper_triangle(n: int, upper) -> PCMatrix:
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise DomainError("upper-triangle entries must be positive")
     m = np.ones((n, n))
-    iu = np.triu_indices(n, k=1)
-    m[iu] = vals
-    m[(iu[1], iu[0])] = 1.0 / vals
-    return PCMatrix(m)
+    m[np.triu_indices(n, k=1)] = vals
+    return PCMatrix(resymmetrize(m))
 
 
-def resymmetrize(values) -> PCMatrix:
-    """Force exact reciprocity on a nearly reciprocal matrix.
+def resymmetrize(values) -> np.ndarray:
+    """Force exact reciprocity on a (..., n, n) stack of nearly reciprocal matrices.
 
-    Keeps the upper triangle and recomputes the lower one as reciprocals.
-    Used when loading matrices printed with rounded decimals.
+    Keeps each strict upper triangle, sets the diagonal to 1 and recomputes
+    the lower triangle as reciprocals.  Used when loading matrices printed
+    with rounded decimals; the caller checks that the upper entries are
+    positive.
     """
     arr = np.asarray(values, dtype=float)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {arr.shape}")
-    n = arr.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return pcm_from_upper_triangle(n, arr[iu])
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
+        raise ShapeError(f"expected square matrices, got shape {arr.shape}")
+    i, j = np.triu_indices(arr.shape[-1], k=1)
+    upper = arr[..., i, j]
+    out = np.ones_like(arr)
+    out[..., i, j] = upper
+    out[..., j, i] = 1.0 / upper
+    return out
 
 
 def consistent_matrix_from_priorities(w: PriorityVector) -> PCMatrix:

@@ -63,13 +63,6 @@ def kendall_tau_distance(u, v) -> int:
     return int(np.count_nonzero(su != sv)) // 2
 
 
-def kendall_tau_normalized(u, v) -> float:
-    """Kendall distance scaled to [0, 1] by the n(n-1)/2 maximum."""
-    a, _ = _pair(u, v)
-    n = a.size
-    return 2.0 * kendall_tau_distance(u, v) / (n * (n - 1))
-
-
 CARDINAL_METRICS = {
     "manhattan": manhattan,
     "euclidean": euclidean,

@@ -4,9 +4,12 @@ Panel files are JSON::
 
     { "n": 4, "experts": [ { "id": "e1", "matrix": [[...], ...] }, ... ] }
 
-Printed matrices are often rounded to a few decimals, so the loader
-accepts reciprocity violations up to 1e-2 relative and then re-symmetrizes
-from the upper triangle before any computation.
+Each expert entry's JSON types and shape are checked first (exit 2).  The
+values of all k matrices are then checked as one (k, n, n) stack: positive
+finite entries first, then c_ij * c_ji = 1 within 1e-2, as printed matrices are
+rounded.  Errors name the lowest failing expert and the cell (exit 3).  The
+stack is re-symmetrized from its upper triangles, with the diagonal reset to 1.
+A config's ``credibility_matrix`` is checked and repaired the same way.
 """
 
 from __future__ import annotations
@@ -44,31 +47,38 @@ def _number_grid(raw, n: int) -> bool:
 
 def _read_object(path: str | Path) -> dict:
     try:
-        doc = json.loads(Path(path).read_text())
-    except ValueError as exc:  # bad JSON, or bytes that are not UTF-8
+        # an integer past float range reads as infinity, which every number check rejects
+        doc = json.loads(Path(path).read_text(),
+                         parse_int=lambda s: int(s) if math.isfinite(float(s)) else float(s))
+    except (ValueError, RecursionError) as exc:  # bad JSON, non-UTF-8 bytes, deep nesting
         raise PanelParseError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise PanelParseError(f"{path}: top level must be an object")
     return doc
 
 
-def _parse_matrix(raw, n: int, expert_id: str) -> PCMatrix:
-    if not _number_grid(raw, n):
-        raise PanelParseError(f"expert {expert_id!r}: matrix must be {n} rows of {n} numbers")
-    arr = np.array(raw, dtype=float)
-    if np.any(~np.isfinite(arr)) or np.any(arr <= 0.0):
-        i, j = np.argwhere(~(np.isfinite(arr) & (arr > 0.0)))[0]
+def _judgment_stack(grids: list, names: list[str]) -> np.ndarray:
+    """Check k grids of n x n numbers as one (k, n, n) stack and re-symmetrize it.
+
+    A DomainError names the lowest failing grid by ``names[q]`` and the cell.
+    """
+    A = np.array(grids, dtype=float)
+    bad = ~(np.isfinite(A) & (A > 0.0))
+    if bad.any():
+        q, i, j = np.argwhere(bad)[0]
+        raise DomainError(f"{names[q]}: non-positive entry at row {i + 1}, column {j + 1}")
+    with np.errstate(over="ignore"):  # an overflowing pair gives inf, which fails below
+        prod = A * A.transpose(0, 2, 1)
+    dev = np.abs(prod - 1.0).reshape(len(A), -1)
+    broken = dev.max(axis=1) > LOAD_RECIPROCITY_RTOL
+    if broken.any():
+        q = np.argmax(broken)
+        i, j = np.unravel_index(np.argmax(dev[q]), A.shape[1:])
         raise DomainError(
-            f"expert {expert_id!r}: non-positive entry at row {i + 1}, column {j + 1}"
+            f"{names[q]}: reciprocity violated at row {i + 1}, "
+            f"column {j + 1} (c_ij*c_ji = {prod[q, i, j]:.4f})"
         )
-    dev = np.abs(arr * arr.T - 1.0)
-    if np.max(dev) > LOAD_RECIPROCITY_RTOL:
-        i, j = np.unravel_index(np.argmax(dev), dev.shape)
-        raise DomainError(
-            f"expert {expert_id!r}: reciprocity violated at row {i + 1}, "
-            f"column {j + 1} (c_ij*c_ji = {arr[i, j] * arr[j, i]:.4f})"
-        )
-    return resymmetrize(arr)
+    return resymmetrize(A)
 
 
 def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
@@ -79,16 +89,18 @@ def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
         raise DomainError(f"'n' must be at least 2, got {n}")
     if not (isinstance(experts, list) and experts):
         raise PanelParseError("'experts' must be a non-empty list")
-    ids, mats = [], []
+    ids, grids = [], []
     for q, entry in enumerate(experts):
         if not isinstance(entry, dict):
             raise PanelParseError(f"expert #{q + 1}: entry must be an object, got {entry!r}")
         eid = str(entry.get("id", f"e{q + 1}"))
         if "matrix" not in entry:
             raise PanelParseError(f"expert {eid!r}: missing 'matrix' field")
+        if not _number_grid(entry["matrix"], n):
+            raise PanelParseError(f"expert {eid!r}: matrix must be {n} rows of {n} numbers")
         ids.append(eid)
-        mats.append(_parse_matrix(entry["matrix"], n, eid))
-    return ExpertPanel(tuple(mats)), ids
+        grids.append(entry["matrix"])
+    return ExpertPanel.from_stack(_judgment_stack(grids, [f"expert {eid!r}" for eid in ids])), ids
 
 
 def load_panel(path: str | Path) -> tuple[ExpertPanel, list[str]]:
@@ -200,10 +212,10 @@ def _parse_credibility(doc: dict) -> CredibilityScale3:
     if not (_number_grid(raw, 3) if matrix else _number_list(raw, 3)):
         shape = "3 rows of 3" if matrix else "3"
         raise PanelParseError(f"config key {key!r} must be {shape} numbers, got {raw!r}")
+    if matrix:
+        raw = PCMatrix(_judgment_stack([raw], [f"config key {key!r}"])[0])
     try:
-        if matrix:
-            return credibility_from_matrix(resymmetrize(np.array(raw, dtype=float)))
-        return CredibilityScale3.from_ratios(*raw)
+        return credibility_from_matrix(raw) if matrix else CredibilityScale3.from_ratios(*raw)
     except DomainError as exc:
         raise DomainError(f"config key {key!r}: {exc}") from None
 

@@ -144,9 +144,9 @@ def one_panel_per_bribe(panel, max_bribes, saturation):
     queue = sorted(range(panel.k), key=lambda q: (-backing[q], q))
     current, ranking = panel, honest
     for used, target in enumerate(queue[:budget], start=1):
-        current = current.replace(
-            target, bribe_matrix(current.matrices[target], runner_up, winner, saturation)
-        )
+        mats = list(current.matrices)
+        mats[target] = bribe_matrix(mats[target], runner_up, winner, saturation)
+        current = ExpertPanel(tuple(mats))
         ranking = aggregate_panel(current)
         if int(ranking.ranking()[0]) == runner_up:
             return tuple(queue[:used]), current, True, ranking, honest

@@ -1,9 +1,15 @@
 import json
+import math
 import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
+from io import StringIO
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from groupahp import pcm_from_upper_triangle
 from groupahp.cli import main
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
@@ -59,6 +65,10 @@ class TestAttack:
     def test_budget_flag(self, five_alt_path, capsys):
         assert main(["attack", "--input", five_alt_path, "--max-bribes", "0"]) == 0
         assert "success: False" in capsys.readouterr().out
+
+    def test_negative_budget_flag_is_rejected(self, five_alt_path, capsys):
+        assert main(["attack", "--input", five_alt_path, "--max-bribes", "-3"]) == 3
+        assert "--max-bribes must be >= 0" in capsys.readouterr().err
 
 
 class TestInspect:
@@ -179,6 +189,10 @@ class TestMalformedInput:
             ({"credibility_matrix": [[1, 2], [0.5, 1]]}, 2, "credibility_matrix"),
             ({"alpha_start": 2.0, "alpha_stop": 1.2}, 3, "alpha_stop"),
             ({"counts": {"5": 0, "6": 0}}, 3, "counts"),
+            ({"credibility_matrix": [[1, 2, 7], [-0.5, 0, 4], [-1, 0.25, 1]]}, 3,
+             "credibility_matrix"),
+            ({"credibility_matrix": [[1, 2, 7], [5, 1, 4], [0.5, 0.5, 1]]}, 3,
+             "credibility_matrix"),
         ],
     )
     def test_config(self, doc, code, key, tmp_path, capsys):
@@ -205,6 +219,106 @@ class TestMalformedInput:
         panel.write_text(json.dumps(doc))
         assert main(["aggregate", "--input", str(panel)]) == code
         assert key in capsys.readouterr().err
+
+
+BIG_INT = "1" + "0" * 400  # a JSON integer past float range
+DEEP = "[" * 100_000 + "]" * 100_000
+
+# a JSON value where a number belongs: wrong types, NaN, infinities, huge
+# and tiny magnitudes, nesting
+hostile = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-3, 12),
+    st.sampled_from([10**400, -(10**400), 1e300, 1e-300, True, None, "2", [], [1], {}]),
+)
+
+
+@st.composite
+def panel_texts(draw):
+    """Panel documents near the valid ones: reciprocal matrices with a few cells,
+    rows, entries, ids or ``n`` broken.  n is bounded to keep the test fast."""
+    n = draw(st.integers(2, 9))
+    experts = []
+    for _ in range(draw(st.integers(0, 4))):
+        upper = draw(st.lists(st.floats(1 / 9, 9), min_size=n * (n - 1) // 2,
+                              max_size=n * (n - 1) // 2))
+        m = pcm_from_upper_triangle(n, upper).values.round(draw(st.sampled_from([2, 17]))).tolist()
+        for _ in range(draw(st.integers(0, 2))):
+            m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(hostile)
+        if draw(st.integers(0, 9)) == 0:
+            m[draw(st.integers(0, n - 1))].pop()
+        entry = {"matrix": m}
+        if draw(st.booleans()):
+            entry["id"] = draw(st.one_of(st.sampled_from(["a", "a", "", "e1"]), hostile))
+        experts.append(draw(st.one_of(st.just(entry), hostile)) if draw(st.integers(0, 9)) == 0
+                       else entry)
+    doc = {"n": draw(st.one_of(st.just(n), hostile)) if draw(st.integers(0, 9)) == 0 else n,
+           "experts": experts}
+    return json.dumps(doc)
+
+
+# every alpha level is built eagerly, so the alpha values are bounded to keep
+# (stop - start) / step small; everything else may be any hostile value
+alpha = st.sampled_from([-1, 0, 1, 1.1, 2.5, 5, math.nan, math.inf, 10**400, "1", None])
+config_values = {
+    "alpha_start": alpha,
+    "alpha_stop": alpha,
+    "alpha_step": st.sampled_from([-0.1, 0, 0.05, 0.5, math.nan, 10**400, "0.1"]),
+    "credibility_matrix": st.lists(st.lists(hostile, min_size=2, max_size=4), max_size=4)
+    | st.just([[1, 2, 7], [0.5, 1, 4], [1 / 7, 0.25, 1]]),
+    "credibility_ratios": st.lists(hostile, max_size=4),
+    "counts": st.dictionaries(st.sampled_from(["2", "5", "x", "-1", ""]), hostile, max_size=2),
+    "sede": hostile,
+}
+for key in ("seed", "panel_size", "max_bribes", "workers", "saturation", "h", "l", "beta",
+            "metric", "epsilon_distribution"):
+    config_values[key] = hostile | st.sampled_from(["manhattan", "uniform", 0.5, 1.5, 9])
+config_texts = st.fixed_dictionaries({}, optional=config_values).map(json.dumps)
+
+
+def run_quietly(argv) -> tuple[int, str]:
+    """main's exit code and stderr, with every warning raised as an error."""
+    err = StringIO()
+    with warnings.catch_warnings(), redirect_stdout(StringIO()), redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, err.getvalue()
+
+
+class TestHostileDocuments:
+    """Whatever a panel or config file holds, main exits 0, 2, 3 or 4 and
+    prints no traceback and no warning."""
+
+    @given(text=panel_texts(), command=st.sampled_from(["inspect", "aggregate", "attack"]))
+    @example(text='{"n": 2, "experts": [{"matrix": [[1, 2], [0.5, 1]]}]}', command="attack")
+    @example(text='{"n": 2, "experts": %s}' % DEEP, command="inspect")
+    @example(text='{"n": 2, "experts": [{"matrix": [[1, %s], [1, 1]]}]}' % BIG_INT,
+             command="aggregate")
+    @example(text='{"n": 2, "experts": [{"matrix": [[1, 1e300], [1e300, 1]]}]}',
+             command="aggregate")
+    @settings(max_examples=150, deadline=None)
+    def test_panel(self, text, command, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "hostile_panel.json"
+        path.write_text(text)
+        argv = [command, "--input", str(path)]
+        code, err = run_quietly(argv + (["--method", "MX"] if command == "aggregate" else []))
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err and "Warning" not in err
+
+    @given(text=config_texts, command=st.sampled_from(["aggregate", "attack"]))
+    @example(text=DEEP, command="aggregate")
+    @example(text='{"alpha_start": %s}' % BIG_INT, command="aggregate")
+    @example(text='{"h": %s}' % BIG_INT, command="aggregate")
+    @example(text='{"credibility_matrix": [[1, %s, 7], [0.5, 1, 4], [1, 1, 1]]}' % BIG_INT,
+             command="aggregate")
+    @settings(max_examples=150, deadline=None)
+    def test_config(self, text, command, five_alt_path, tmp_path_factory):
+        path = tmp_path_factory.getbasetemp() / "hostile_config.json"
+        path.write_text(text)
+        argv = [command, "--input", five_alt_path, "--config", str(path)]
+        code, err = run_quietly(argv + (["--method", "MX"] if command == "aggregate" else []))
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err and "Warning" not in err
 
 
 @pytest.mark.parametrize("which", ["1", "2"])

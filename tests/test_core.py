@@ -106,20 +106,6 @@ class TestExpertPanel:
         with pytest.raises(ShapeError):
             ExpertPanel((m2, m3))
 
-    def test_replace_is_out_of_place(self):
-        rng = np.random.default_rng(0)
-        panel = ExpertPanel(tuple(random_pcm(3, rng) for _ in range(3)))
-        other = random_pcm(3, rng)
-        updated = panel.replace(1, other)
-        assert updated.matrices[1] is other
-        assert panel.matrices[1] is not other
-
-    def test_replace_rejects_bad_index(self):
-        rng = np.random.default_rng(0)
-        panel = ExpertPanel(tuple(random_pcm(3, rng) for _ in range(2)))
-        with pytest.raises(ShapeError):
-            panel.replace(5, panel.matrices[0])
-
 
 MALFORMATIONS = ("nan", "inf", "zero", "negative", "diagonal", "reciprocity")
 
@@ -230,7 +216,7 @@ class TestConstruction:
 
     def test_resymmetrize_keeps_upper_triangle(self):
         rounded = np.array([[1.0, 0.333, 2.0], [3.0, 1.0, 5.0], [0.5, 0.2, 1.0]])
-        m = resymmetrize(rounded)
+        m = PCMatrix(resymmetrize(rounded))
         assert m.values[0, 1] == 0.333
         assert m.values[1, 0] == pytest.approx(1 / 0.333, abs=0)
 

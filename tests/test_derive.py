@@ -19,10 +19,10 @@ from tests.test_core import random_pcm
 
 
 def derived_matrices(m, rng):
-    """New matrices built from m by the three ways the package derives them."""
+    """New matrices built from m by three ways the package makes them."""
     return {
         "bribe_matrix": bribe_matrix(m, 0, 1),
-        "ExpertPanel.replace": ExpertPanel((m, m)).replace(1, random_pcm(m.n, rng)).matrices[1],
+        "ExpertPanel": ExpertPanel((m, random_pcm(m.n, rng))).matrices[1],
         "perturb": perturb(m, 3.0, rng, "log-uniform", 1).matrices[0],
     }
 

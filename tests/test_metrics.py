@@ -11,7 +11,6 @@ from groupahp import (
     chebyshev,
     euclidean,
     kendall_tau_distance,
-    kendall_tau_normalized,
     manhattan,
     manhattan_mean,
 )
@@ -110,7 +109,6 @@ class TestKendall:
         a = PriorityVector.from_raw([1.0, 2.0, 3.0, 4.0])
         b = PriorityVector.from_raw([4.0, 3.0, 2.0, 1.0])
         assert kendall_tau_distance(a, b) == 6  # all n(n-1)/2 pairs disagree
-        assert kendall_tau_normalized(a, b) == pytest.approx(1.0)
 
     def test_single_swap(self):
         a = PriorityVector.from_raw([1.0, 2.0, 3.0])
@@ -141,9 +139,3 @@ class TestKendall:
         n = min(len(raw_a), len(raw_b))
         a, b = np.array(raw_a[:n], dtype=float), np.array(raw_b[:n], dtype=float)
         assert kendall_tau_distance(a, b) == brute_force_kendall(a, b)
-
-    @given(vectors, vectors)
-    @settings(max_examples=100)
-    def test_normalized_in_unit_interval(self, raw_a, raw_b):
-        a, b = pair(raw_a, raw_b)
-        assert 0.0 <= kendall_tau_normalized(a, b) <= 1.0

@@ -179,8 +179,8 @@ def test_panel_memo_is_filled_once():
     assert panel_gmm(panel) == first
     aggregate_panel(panel)
     assert panel._memo["gmm"] is G
-    # a replaced expert makes a new panel with its own memo
-    other = panel.replace(0, random_pcm(5, rng))
+    # a panel with one expert swapped out is a new panel with its own memo
+    other = ExpertPanel((random_pcm(5, rng), *panel.matrices[1:]))
     assert not other._memo
     aggregate_panel(other)
     assert not np.array_equal(other._memo["gmm"][0], G[0])

@@ -11,6 +11,7 @@ from groupahp import (
     bundled_panel,
     load_config,
     load_panel,
+    pcm_from_upper_triangle,
     save_panel,
 )
 from groupahp.panelio import PanelParseError, parse_panel
@@ -86,6 +87,106 @@ class TestParsePanel:
             parse_panel(doc)
 
 
+def four_expert_doc():
+    """A k=4, n=3 panel of experts a, b, c and d with the same reciprocal matrix."""
+    m = [[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]]
+    return {"n": 3, "experts": [{"id": eid, "matrix": [r[:] for r in m]} for eid in "abcd"]}
+
+
+def set_cell(i, j, value):
+    def apply(entry):
+        entry["matrix"][i][j] = value
+        return entry
+    return apply
+
+
+def drop_last(entry):
+    entry["matrix"][1].pop()
+    return entry
+
+
+def drop_matrix(entry):
+    del entry["matrix"]
+    return entry
+
+
+GRID_ERROR = (PanelParseError, "expert 'c': matrix must be 3 rows of 3 numbers")
+
+
+class TestStackMessages:
+    """A panel is checked as one (k, n, n) stack; each error names the expert
+    by its position in that stack and the cell, as the per-matrix checks did."""
+
+    @pytest.mark.parametrize(
+        "defect,error,message",
+        [
+            (set_cell(1, 2, -2), DomainError, "expert 'c': non-positive entry at row 2, column 3"),
+            (set_cell(2, 1, 0), DomainError, "expert 'c': non-positive entry at row 3, column 2"),
+            (set_cell(0, 2, float("nan")), DomainError,
+             "expert 'c': non-positive entry at row 1, column 3"),
+            (set_cell(2, 0, float("inf")), DomainError,
+             "expert 'c': non-positive entry at row 3, column 1"),
+            (set_cell(0, 1, 4), DomainError,
+             "expert 'c': reciprocity violated at row 1, column 2 (c_ij*c_ji = 2.0000)"),
+            (set_cell(2, 1, 0.6), DomainError,
+             "expert 'c': reciprocity violated at row 2, column 3 (c_ij*c_ji = 1.2000)"),
+            (drop_last, *GRID_ERROR),
+            (set_cell(1, 0, "0.5"), *GRID_ERROR),
+            (set_cell(1, 0, True), *GRID_ERROR),
+            (drop_matrix, PanelParseError, "expert 'c': missing 'matrix' field"),
+            (lambda entry: entry["matrix"], PanelParseError,
+             "expert #3: entry must be an object, got [[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]]"),
+        ],
+        ids=["negative", "zero", "nan", "infinity", "reciprocity", "reciprocity-lower",
+             "short-row", "string", "bool", "missing-matrix", "non-object"],
+    )
+    def test_third_of_four_experts_malformed(self, defect, error, message):
+        doc = four_expert_doc()
+        doc["experts"][2] = defect(doc["experts"][2])
+        with pytest.raises(error) as info:
+            parse_panel(doc)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "defect_b,defect_d,message",
+        [
+            # type and shape errors come before any value error
+            (set_cell(0, 1, -1), drop_last, "expert 'd': matrix must be 3 rows of 3 numbers"),
+            # non-positive entries come before reciprocity
+            (set_cell(0, 1, 4), set_cell(2, 2, 0),
+             "expert 'd': non-positive entry at row 3, column 3"),
+            # within a class, the lowest expert comes first
+            (set_cell(1, 2, 9), set_cell(0, 1, 4),
+             "expert 'b': reciprocity violated at row 2, column 3 (c_ij*c_ji = 4.5000)"),
+            (drop_matrix, set_cell(0, 1, "x"), "expert 'b': missing 'matrix' field"),
+        ],
+        ids=["shape-before-value", "positivity-before-reciprocity", "lowest-reciprocity",
+             "lowest-type"],
+    )
+    def test_two_malformed_experts_report_in_documented_order(self, defect_b, defect_d, message):
+        doc = four_expert_doc()
+        doc["experts"][1] = defect_b(doc["experts"][1])
+        doc["experts"][3] = defect_d(doc["experts"][3])
+        with pytest.raises(GroupAHPError) as info:
+            parse_panel(doc)
+        assert str(info.value) == message
+
+    def test_rounded_stack_equals_per_matrix_completion(self):
+        rng = np.random.default_rng(53)
+        n, triu = 6, np.triu_indices(6, k=1)
+        A = np.exp(rng.uniform(-np.log(9), np.log(9), (5, n, n)))
+        A = np.round(A, 3)
+        A[:, triu[1], triu[0]] = np.round(1.0 / A[:, triu[0], triu[1]], 3)
+        A[:, range(n), range(n)] = 1.0
+        doc = {"n": n, "experts": [{"id": f"x{q}", "matrix": a.tolist()} for q, a in enumerate(A)]}
+        panel, ids = parse_panel(doc)
+        assert ids == [f"x{q}" for q in range(5)]
+        for q, m in enumerate(panel.matrices):
+            reference = pcm_from_upper_triangle(n, A[q][triu]).values
+            assert m.values.tobytes() == reference.tobytes()
+
+
 class TestLoadSave:
     def test_round_trip(self, tmp_path):
         path = write_json(tmp_path, VALID_DOC)
@@ -150,6 +251,20 @@ class TestRunConfig:
         cfg = load_config(path)
         assert isinstance(cfg.robust.scale3, CredibilityScale3)
         assert cfg.robust.scale3.h == pytest.approx(0.603, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "matrix,message",
+        [
+            ([[1, 2, 7], [-0.5, 0, 4], [-1, 0.25, 1]], "non-positive entry at row 2, column 1"),
+            ([[1, 2, 7], [5, 1, 4], [0.5, 0.5, 1]],
+             "reciprocity violated at row 1, column 2 (c_ij*c_ji = 10.0000)"),
+        ],
+    )
+    def test_credibility_matrix_checked_like_a_panel(self, matrix, message, tmp_path):
+        path = write_json(tmp_path, {"credibility_matrix": matrix}, "cfg.json")
+        with pytest.raises(DomainError) as info:
+            load_config(path)
+        assert str(info.value) == f"config key 'credibility_matrix': {message}"
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_json(tmp_path, {"sede": 1}, "cfg.json")
