@@ -12,7 +12,7 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector
+from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, resymmetrize
 from .derive import _panel_gmm_matrix
 from .errors import ShapeError
 
@@ -29,12 +29,8 @@ def aij(panel: ExpertPanel, r: ExpertWeights | None = None) -> PCMatrix:
     """Aggregate judgments: entrywise weighted geometric mean of the matrices."""
     w = _weights_or_uniform(r, panel.k)
     logs = np.stack([np.log(m.values) for m in panel.matrices])
-    agg = np.exp(np.tensordot(w, logs, axes=1))
-    np.fill_diagonal(agg, 1.0)
     # exact reciprocity can drift by a few ulp; restore it from the upper triangle
-    iu = np.triu_indices(panel.n, k=1)
-    agg[(iu[1], iu[0])] = 1.0 / agg[iu]
-    return PCMatrix(agg)
+    return PCMatrix(resymmetrize(np.exp(np.tensordot(w, logs, axes=1))))
 
 
 def _weighted_geometric_mean(logs: np.ndarray, r: ExpertWeights | None) -> PriorityVector:

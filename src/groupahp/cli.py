@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import aip
+from .aggregate import aggregate_panel
 from .attack import run_attack
 from .derive import panel_gmm
 from .errors import DomainError, GroupAHPError, PanelParseError
@@ -48,8 +48,7 @@ def cmd_aggregate(args) -> int:
     panel, ids = load_panel(args.input)
     config = load_config(args.config)
     print(f"panel: {panel.k} experts, {panel.n} alternatives")
-    vectors = panel_gmm(panel)
-    for eid, v in zip(ids, vectors):
+    for eid, v in zip(ids, panel_gmm(panel)):
         _print_vector(f"priorities {eid}", v.weights)
     for eid, ci in zip(ids, panel_cis(panel)):
         print(f"CI {eid}: {_fmt(ci)}")
@@ -58,7 +57,7 @@ def cmd_aggregate(args) -> int:
     if method != "CLASSIC":
         weights = method_weights(panel, method, config.robust)
         _print_vector("expert weights", weights.r)
-    final = aip(vectors, weights)
+    final = aggregate_panel(panel, weights)
     _print_vector(f"final ranking ({method})", final.weights)
     order = final.ranking()
     print("order:", " > ".join(f"a{i + 1}" for i in order))

@@ -12,12 +12,14 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .aggregate import aggregate_panel
 from .attack import run_attack
-from .core import ExpertPanel, PCMatrix, PriorityVector, consistent_matrix_from_priorities
+from .core import (ExpertPanel, PCMatrix, PriorityVector, consistent_matrix_from_priorities,
+                   resymmetrize)
 from .errors import DomainError, EmptyReportError
 from .inconsistency import fill_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
@@ -78,10 +80,9 @@ def perturb(
         eps = rng.uniform(1.0 / alpha, alpha, size=size)
     else:
         raise DomainError(f"unknown epsilon distribution {distribution!r}")
-    m = np.repeat(C_w.values[None], k, axis=0)
+    m = np.empty((k, n, n))  # resymmetrize reads only the upper triangles
     m[:, iu[0], iu[1]] = C_w.values[iu] * eps
-    m[:, iu[1], iu[0]] = 1.0 / m[:, iu[0], iu[1]]
-    return ExpertPanel.from_stack(m)
+    return ExpertPanel.from_stack(resymmetrize(m))
 
 
 def generate_corpus(
@@ -133,8 +134,7 @@ def _column(metric: str, method: str) -> str:
     return f"{metric}_{method.lower()}"
 
 
-def _run_experiment1_one(args) -> dict:
-    scenario, config, outcome = args
+def _run_experiment1_one(scenario: Scenario, outcome, config: RobustConfig) -> dict:
     honest = outcome.honest_ranking
     restored = {m: robust_aggregate(outcome.manipulated_panel, m, config) for m in METHODS}
     return {
@@ -147,15 +147,14 @@ def _run_experiment1_one(args) -> dict:
     }
 
 
-def _run_experiment1_chunk(chunk: list) -> list[dict]:
+def _run_experiment1_chunk(config, max_bribes, saturation, chunk: list[Scenario]) -> list[dict]:
     # attack the whole chunk first, so that the bribed matrices' CIs come from one fill
-    outcomes = [run_attack(s.panel, bribes, saturation) for s, _, bribes, saturation in chunk]
+    outcomes = [run_attack(s.panel, max_bribes, saturation) for s in chunk]
     fill_cis([o.manipulated_panel for o in outcomes])
-    return [_run_experiment1_one((s, config, o)) for (s, config, *_), o in zip(chunk, outcomes)]
+    return [_run_experiment1_one(s, o, config) for s, o in zip(chunk, outcomes)]
 
 
-def _run_experiment2_one(args) -> dict:
-    scenario, config = args
+def _run_experiment2_one(scenario: Scenario, config: RobustConfig) -> dict:
     honest = aggregate_panel(scenario.panel)
     alt = {m: robust_aggregate(scenario.panel, m, config) for m in METHODS}
     return {
@@ -166,8 +165,8 @@ def _run_experiment2_one(args) -> dict:
     }
 
 
-def _run_experiment2_chunk(chunk: list) -> list[dict]:
-    return [_run_experiment2_one(args) for args in chunk]
+def _run_experiment2_chunk(config, chunk: list[Scenario]) -> list[dict]:
+    return [_run_experiment2_one(s, config) for s in chunk]
 
 
 def _map(fn, items, workers: int):
@@ -192,8 +191,7 @@ def experiment1(
 
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
-    args = [(s, config, max_bribes, saturation) for s in scenarios]
-    return _map(_run_experiment1_chunk, args, workers)
+    return _map(partial(_run_experiment1_chunk, config, max_bribes, saturation), scenarios, workers)
 
 
 def experiment2(
@@ -205,13 +203,39 @@ def experiment2(
 
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
-    args = [(s, config) for s in scenarios]
-    return _map(_run_experiment2_chunk, args, workers)
+    return _map(partial(_run_experiment2_chunk, config), scenarios, workers)
 
 
 def _bucket(ci: float) -> float:
     # label each bucket by its upper edge
     return round((np.floor(ci / CI_BUCKET_WIDTH) + 1) * CI_BUCKET_WIDTH, 10)
+
+
+def _mean(values: list) -> float:
+    # nan for no values, without numpy's empty-slice warning
+    return float(np.mean(values)) if values else float("nan")
+
+
+def _scored(records) -> tuple[bool, list[dict], list[dict]]:
+    """Whether the records are attacked, the scored ones (of experiment 1 the
+    successful attacks only), and the scored ones at mean CI <= 0.1."""
+    records = list(records)
+    if not records:
+        raise EmptyReportError("no records to summarize")
+    attacked = "attack_succeeded" in records[0]
+    scored = [r for r in records if not attacked or r["attack_succeeded"]]
+    return attacked, scored, [r for r in scored if r["mean_ci"] <= CI_THRESHOLD]
+
+
+def _scores(recs: list[dict], method: str, attacked: bool) -> dict[str, float]:
+    """WR/RR rates (attacked records only) and mean Manhattan distance; nan for none."""
+    stats = {}
+    if attacked:
+        cls = [r[_column("class", method)] for r in recs]
+        stats["wr_rate"] = _mean([c in ("WR", "RR") for c in cls])
+        stats["rr_rate"] = _mean([c == "RR" for c in cls])
+    stats["mean_manhattan"] = _mean([r[_column("manhattan", method)] for r in recs])
+    return stats
 
 
 def summarize(records) -> list[tuple]:
@@ -224,27 +248,16 @@ def summarize(records) -> list[tuple]:
     Kendall-distance histogram over the low-inconsistency region
     (mean CI <= 0.1).
     """
-    records = list(records)
-    if not records:
-        raise EmptyReportError("no records to summarize")
-    attacked = "attack_succeeded" in records[0]
+    attacked, scored, low = _scored(records)
     buckets: dict[float, list[dict]] = {}
-    for rec in records:
-        if not attacked or rec["attack_succeeded"]:
-            buckets.setdefault(_bucket(rec["mean_ci"]), []).append(rec)
-    rows: list[tuple] = []
+    for rec in scored:
+        buckets.setdefault(_bucket(rec["mean_ci"]), []).append(rec)
+    rows = []
     for b, recs in buckets.items():
         for method in METHODS:
-            if attacked:
-                cls = [r[_column("class", method)] for r in recs]
-                wr = sum(c in ("WR", "RR") for c in cls) / len(recs)
-                rr = sum(c == "RR" for c in cls) / len(recs)
-                rows.append((b, method, "wr_rate", wr, len(recs)))
-                rows.append((b, method, "rr_rate", rr, len(recs)))
-            dist = float(np.mean([r[_column("manhattan", method)] for r in recs]))
-            rows.append((b, method, "mean_manhattan", dist, len(recs)))
-    low = [] if attacked else [r for r in records if r["mean_ci"] <= CI_THRESHOLD]
-    if low:
+            stats = _scores(recs, method, attacked)
+            rows += [(b, method, metric, value, len(recs)) for metric, value in stats.items()]
+    if low and not attacked:
         for method in METHODS:
             kd = np.array([r[_column("kendall", method)] for r in low])
             for d in range(int(kd.max()) + 1):
@@ -254,39 +267,15 @@ def summarize(records) -> list[tuple]:
     return rows
 
 
-def _mean(values: list) -> float:
-    # nan for no values, without numpy's empty-slice warning
-    return float(np.mean(values)) if values else float("nan")
-
-
 def headline_stats(records) -> dict[str, dict[str, float]]:
     """Threshold statistics quoted in reports: rates and means at CI <= 0.1.
 
     A statistic over the scenarios at or below the threshold is nan when
     there are none.
     """
-    records = list(records)
-    if not records:
-        raise EmptyReportError("no records")
-    attacked = "attack_succeeded" in records[0]
-    low = [
-        r for r in records
-        if r["mean_ci"] <= CI_THRESHOLD and (not attacked or r["attack_succeeded"])
-    ]
-    out: dict[str, dict[str, float]] = {}
-    for method in METHODS:
-        manhattan = _column("manhattan", method)
-        if attacked:
-            cls = [r[_column("class", method)] for r in low]
-            out[method] = {
-                "wr_rate": _mean([c in ("WR", "RR") for c in cls]),
-                "rr_rate": _mean([c == "RR" for c in cls]),
-                "mean_manhattan": _mean([r[manhattan] for r in low]),
-            }
-        else:
-            kendall = _column("kendall", method)
-            out[method] = {
-                "corpus_mean_manhattan": _mean([r[manhattan] for r in records]),
-                "kendall_zero_freq": _mean([r[kendall] == 0 for r in low]),
-            }
-    return out
+    attacked, scored, low = _scored(records)
+    if attacked:
+        return {m: _scores(low, m, True) for m in METHODS}
+    return {m: {"corpus_mean_manhattan": _scores(scored, m, False)["mean_manhattan"],
+                "kendall_zero_freq": _mean([r[_column("kendall", m)] == 0 for r in low])}
+            for m in METHODS}

@@ -34,6 +34,8 @@ from .robust import (
 )
 
 LOAD_RECIPROCITY_RTOL = 1e-2
+MAX_ALPHA_LEVELS = 1000  # the study runs 40
+MAX_ALTERNATIVES = 100  # the study runs 5 to 7
 
 
 def _number_list(raw, size: int) -> bool:
@@ -146,8 +148,13 @@ class RunConfig:
     workers: int = 1
 
     @property
+    def alpha_count(self) -> float:
+        """Number of alpha levels; a float, so that a step too small to count by gives inf."""
+        return float(np.rint((self.alpha_stop - self.alpha_start) / self.alpha_step)) + 1
+
+    @property
     def alphas(self) -> tuple[float, ...]:
-        count = int(round((self.alpha_stop - self.alpha_start) / self.alpha_step)) + 1
+        count = int(self.alpha_count)
         return tuple(round(self.alpha_start + i * self.alpha_step, 10) for i in range(count))
 
 
@@ -196,9 +203,13 @@ def _counts(raw) -> dict[int, int]:
         raise PanelParseError(
             f"config key 'counts' must map alternative counts to integers, got {raw!r}"
         )
+    # a key too long to be in range never reaches int(), which refuses 4,300+ digits
+    if any(len(n) > len(str(MAX_ALTERNATIVES)) or not 2 <= int(n) <= MAX_ALTERNATIVES or c < 0
+           for n, c in raw.items()):
+        raise DomainError(
+            f"config key 'counts' needs 2 <= n <= {MAX_ALTERNATIVES} and counts >= 0, got {raw!r}"
+        )
     counts = {int(n): c for n, c in raw.items()}
-    if any(n < 2 or c < 0 for n, c in counts.items()):
-        raise DomainError(f"config key 'counts' needs n >= 2 and counts >= 0, got {raw!r}")
     if not any(counts.values()):
         raise DomainError(f"config key 'counts' asks for no ground-truth vectors, got {raw!r}")
     return counts
@@ -240,9 +251,10 @@ def load_config(path: str | Path | None) -> RunConfig:
     if "counts" in doc:
         values["counts"] = _counts(doc["counts"])
     config = RunConfig(**values)
-    if not config.alphas:
+    if not 1 <= config.alpha_count <= MAX_ALPHA_LEVELS:  # checked before any level is built
         raise DomainError(
-            f"config key 'alpha_stop' is a step or more below alpha_start "
-            f"({config.alpha_stop!r} < {config.alpha_start!r}), so no alpha level is left"
+            f"config keys 'alpha_start', 'alpha_stop' and 'alpha_step' give "
+            f"{config.alpha_count:g} alpha levels, not 1 to {MAX_ALPHA_LEVELS}: "
+            f"{config.alpha_start!r} to {config.alpha_stop!r} by {config.alpha_step!r}"
         )
     return config

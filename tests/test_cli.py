@@ -193,6 +193,11 @@ class TestMalformedInput:
              "credibility_matrix"),
             ({"credibility_matrix": [[1, 2, 7], [5, 1, 4], [0.5, 0.5, 1]]}, 3,
              "credibility_matrix"),
+            ({"counts": {"101": 1}}, 3, "counts"),
+            ({"counts": {"7" * 5000: 1}}, 3, "counts"),
+            ({"alpha_stop": 1e308, "alpha_step": 1e-308}, 3, "alpha_step"),
+            ({"alpha_step": 1e-300}, 3, "alpha_step"),
+            ({"alpha_start": 1e308, "alpha_stop": 1, "alpha_step": 1e-308}, 3, "alpha_stop"),
         ],
     )
     def test_config(self, doc, code, key, tmp_path, capsys):
@@ -257,13 +262,12 @@ def panel_texts(draw):
     return json.dumps(doc)
 
 
-# every alpha level is built eagerly, so the alpha values are bounded to keep
-# (stop - start) / step small; everything else may be any hostile value
-alpha = st.sampled_from([-1, 0, 1, 1.1, 2.5, 5, math.nan, math.inf, 10**400, "1", None])
+alpha = st.sampled_from([-1, 0, 1, 1.1, 2.5, 5, 1e308, 1e-300, math.nan, math.inf, 10**400, "1",
+                         None])
 config_values = {
     "alpha_start": alpha,
     "alpha_stop": alpha,
-    "alpha_step": st.sampled_from([-0.1, 0, 0.05, 0.5, math.nan, 10**400, "0.1"]),
+    "alpha_step": st.sampled_from([-0.1, 0, 0.05, 0.5, 1e308, 1e-300, math.nan, 10**400, "0.1"]),
     "credibility_matrix": st.lists(st.lists(hostile, min_size=2, max_size=4), max_size=4)
     | st.just([[1, 2, 7], [0.5, 1, 4], [1 / 7, 0.25, 1]]),
     "credibility_ratios": st.lists(hostile, max_size=4),
@@ -311,6 +315,9 @@ class TestHostileDocuments:
     @example(text='{"h": %s}' % BIG_INT, command="aggregate")
     @example(text='{"credibility_matrix": [[1, %s, 7], [0.5, 1, 4], [1, 1, 1]]}' % BIG_INT,
              command="aggregate")
+    @example(text='{"alpha_stop": 1e308, "alpha_step": 1e-308}', command="aggregate")
+    @example(text='{"alpha_step": 1e-300}', command="aggregate")
+    @example(text='{"counts": {"%s": 1}}' % ("7" * 5000), command="aggregate")
     @settings(max_examples=150, deadline=None)
     def test_config(self, text, command, five_alt_path, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "hostile_config.json"

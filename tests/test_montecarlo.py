@@ -269,3 +269,86 @@ class TestExperiments:
             summarize([])
         with pytest.raises(EmptyReportError):
             headline_stats([])
+
+
+def exp1_record(ci, succeeded, classes, distances):
+    return {
+        "scenario_id": 0, "mean_ci": ci, "bribes_used": 1, "attack_succeeded": succeeded,
+        **{f"class_{m.lower()}": c for m, c in zip(METHODS, classes)},
+        **{f"manhattan_{m.lower()}": d for m, d in zip(METHODS, distances)},
+    }
+
+
+def exp2_record(ci, distances, kendalls):
+    return {
+        "scenario_id": 0, "mean_ci": ci,
+        **{f"manhattan_{m.lower()}": d for m, d in zip(METHODS, distances)},
+        **{f"kendall_{m.lower()}": d for m, d in zip(METHODS, kendalls)},
+    }
+
+
+class TestReportStatistics:
+    """summarize and headline_stats on hand-built records; every distance is
+    dyadic, so each expected value below is exact."""
+
+    EXP1 = [
+        exp1_record(0.053, 1, ("RR", "WR", "FAILURE"), (0.25, 0.5, 0.75)),
+        exp1_record(0.1, 1, ("WR", "RR", "RR"), (0.5, 0.25, 0.125)),  # bucket 0.11, headline
+        exp1_record(0.053, 0, ("RR", "RR", "RR"), (8.0, 8.0, 8.0)),  # failed attacks count nowhere
+        exp1_record(0.257, 1, ("RR", "FAILURE", "WR"), (1.0, 2.0, 4.0)),
+        exp1_record(0.5, 0, ("RR", "RR", "RR"), (8.0, 8.0, 8.0)),
+    ]
+    EXP2 = [
+        exp2_record(0.053, (0.25, 0.5, 0.125), (0, 1, 0)),
+        exp2_record(0.1, (0.75, 0.25, 0.375), (0, 0, 2)),
+        exp2_record(0.305, (0.5, 0.5, 0.5), (3, 0, 1)),  # outside the Kendall region
+    ]
+
+    def test_summarize_experiment1(self):
+        # (bucket, method): (wr, rr, mean Manhattan) over one record each
+        cells = {
+            (0.06, "APDD"): (1.0, 1.0, 0.25), (0.06, "AID"): (1.0, 0.0, 0.5),
+            (0.06, "MX"): (0.0, 0.0, 0.75),
+            (0.11, "APDD"): (1.0, 0.0, 0.5), (0.11, "AID"): (1.0, 1.0, 0.25),
+            (0.11, "MX"): (1.0, 1.0, 0.125),
+            (0.26, "APDD"): (1.0, 1.0, 1.0), (0.26, "AID"): (0.0, 0.0, 2.0),
+            (0.26, "MX"): (1.0, 0.0, 4.0),
+        }
+        expected = [
+            (b, m, metric, value, 1)
+            for (b, m), values in cells.items()
+            for metric, value in zip(("wr_rate", "rr_rate", "mean_manhattan"), values)
+        ]
+        assert summarize(self.EXP1) == sorted(expected, key=lambda r: (r[2], r[1], r[0]))
+
+    def test_headline_experiment1(self):
+        # the successful attacks at mean CI <= 0.1: the first two records
+        assert headline_stats(self.EXP1) == {
+            "APDD": {"wr_rate": 1.0, "rr_rate": 0.5, "mean_manhattan": 0.375},
+            "AID": {"wr_rate": 1.0, "rr_rate": 0.5, "mean_manhattan": 0.375},
+            "MX": {"wr_rate": 0.5, "rr_rate": 0.5, "mean_manhattan": 0.4375},
+        }
+
+    def test_summarize_experiment2(self):
+        distances = {0.06: (0.25, 0.5, 0.125), 0.11: (0.75, 0.25, 0.375), 0.31: (0.5, 0.5, 0.5)}
+        expected = [
+            (b, m, "mean_manhattan", d, 1)
+            for b, ds in distances.items() for m, d in zip(METHODS, ds)
+        ]
+        # Kendall histogram over the first two records, labelled with the threshold
+        histograms = {"APDD": [1.0], "AID": [0.5, 0.5], "MX": [0.5, 0.0, 0.5]}
+        expected += [
+            (0.1, m, f"kendall_{d}_freq", freq, 2)
+            for m, freqs in histograms.items() for d, freq in enumerate(freqs)
+        ]
+        assert summarize(self.EXP2) == sorted(expected, key=lambda r: (r[2], r[1], r[0]))
+
+    def test_headline_experiment2(self):
+        stats = headline_stats(self.EXP2)
+        assert stats == {
+            "APDD": {"corpus_mean_manhattan": 0.5, "kendall_zero_freq": 1.0},
+            "AID": {"corpus_mean_manhattan": pytest.approx(1.25 / 3), "kendall_zero_freq": 0.5},
+            "MX": {"corpus_mean_manhattan": pytest.approx(1 / 3), "kendall_zero_freq": 0.5},
+        }
+        zero = {r[1]: r[3] for r in summarize(self.EXP2) if r[2] == "kendall_0_freq"}
+        assert {m: s["kendall_zero_freq"] for m, s in stats.items()} == zero
