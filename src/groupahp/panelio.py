@@ -25,17 +25,14 @@ import numpy as np
 from .core import ExpertPanel, PCMatrix, resymmetrize
 from .errors import DomainError, PanelParseError
 from .montecarlo import EPSILON_DISTRIBUTIONS
-from .robust import (
-    CredibilityScale2,
-    CredibilityScale3,
-    RobustConfig,
-    credibility_from_matrix,
-    DEFAULT_SCALE3,
-)
+from .robust import CredibilityScale2, CredibilityScale3, RobustConfig, credibility_from_matrix
 
 LOAD_RECIPROCITY_RTOL = 1e-2
 MAX_ALPHA_LEVELS = 1000  # the study runs 40
 MAX_ALTERNATIVES = 100  # the study runs 5 to 7
+# judgment entries a corpus draws, sum(counts[n] * n**2) * alpha levels * panel_size:
+# about 400 MB of float64; the study draws 2,924,000
+MAX_CORPUS_ENTRIES = 50_000_000
 
 
 def _number_list(raw, size: int) -> bool:
@@ -159,7 +156,7 @@ class RunConfig:
 
 
 # key: (JSON type, range test, range in words); CredibilityScale2 checks h and
-# l, RobustConfig checks metric
+# l, RobustConfig checks beta and metric
 _SCALAR_KEYS = {
     "seed": (int, lambda v: v >= 0, ">= 0"),
     "panel_size": (int, lambda v: v >= 1, ">= 1"),
@@ -172,8 +169,7 @@ _SCALAR_KEYS = {
     "epsilon_distribution": (str, lambda v: v in EPSILON_DISTRIBUTIONS,
                              f"one of {list(EPSILON_DISTRIBUTIONS)}"),
     "h": (float, None, None), "l": (float, None, None),
-    "beta": (float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    "metric": (str, None, None),
+    "beta": (float, None, None), "metric": (str, None, None),
 }
 _JSON_TYPES = {int: (int,), float: (int, float), str: (str,)}
 _CREDIBILITY_KEYS = ("credibility_matrix", "credibility_ratios")
@@ -215,11 +211,8 @@ def _counts(raw) -> dict[int, int]:
     return counts
 
 
-def _parse_credibility(doc: dict) -> CredibilityScale3:
-    key = next((k for k in _CREDIBILITY_KEYS if k in doc), None)
-    if key is None:
-        return DEFAULT_SCALE3
-    raw, matrix = doc[key], key == "credibility_matrix"
+def _parse_credibility(key: str, raw) -> CredibilityScale3:
+    matrix = key == "credibility_matrix"
     if not (_number_grid(raw, 3) if matrix else _number_list(raw, 3)):
         shape = "3 rows of 3" if matrix else "3"
         raise PanelParseError(f"config key {key!r} must be {shape} numbers, got {raw!r}")
@@ -245,9 +238,12 @@ def load_config(path: str | Path | None) -> RunConfig:
     if unknown:
         raise PanelParseError(f"unknown config keys: {sorted(unknown)}")
     values = {k: check_value(k, v) for k, v in doc.items() if k in _SCALAR_KEYS}
-    scale2 = CredibilityScale2(**{k: values.pop(k) for k in ("h", "l") if k in values})
-    blend = {k: values.pop(k) for k in ("beta", "metric") if k in values}
-    values["robust"] = RobustConfig(scale2, _parse_credibility(doc), **blend)
+    robust = {k: values.pop(k) for k in ("beta", "metric") if k in values}
+    robust["scale2"] = CredibilityScale2(**{k: values.pop(k) for k in ("h", "l") if k in values})
+    key = next((k for k in _CREDIBILITY_KEYS if k in doc), None)
+    if key:
+        robust["scale3"] = _parse_credibility(key, doc[key])
+    values["robust"] = RobustConfig(**robust)
     if "counts" in doc:
         values["counts"] = _counts(doc["counts"])
     config = RunConfig(**values)
@@ -256,5 +252,12 @@ def load_config(path: str | Path | None) -> RunConfig:
             f"config keys 'alpha_start', 'alpha_stop' and 'alpha_step' give "
             f"{config.alpha_count:g} alpha levels, not 1 to {MAX_ALPHA_LEVELS}: "
             f"{config.alpha_start!r} to {config.alpha_stop!r} by {config.alpha_step!r}"
+        )
+    per_level = sum(c * n * n for n, c in config.counts.items()) * config.panel_size
+    if per_level * int(config.alpha_count) > MAX_CORPUS_ENTRIES:  # Python ints: no count overflows
+        raise DomainError(
+            f"config keys 'counts', 'panel_size', 'alpha_start', 'alpha_stop' and 'alpha_step' "
+            f"ask for a corpus of more than {MAX_CORPUS_ENTRIES:,} judgment entries "
+            f"(sum of counts[n] * n^2, times alpha levels, times panel_size)"
         )
     return config

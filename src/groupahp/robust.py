@@ -2,8 +2,8 @@
 
 APDD down-weights experts whose individual priority vector sits far from
 the group aggregate.  AID down-weights experts whose consistency index
-deviates from the panel's mean inconsistency.  MX is a convex combination
-of the two weight vectors.
+deviates from the panel's mean inconsistency.  Both map the deviation
+linearly onto credibility anchors; MX is a convex blend of the two.
 """
 
 from __future__ import annotations
@@ -71,47 +71,63 @@ EXAMPLE_CREDIBILITY_MATRIX = PCMatrix(
 )
 
 
+def _metric(name: str):
+    """The distance function called ``name``; an unknown name raises DomainError."""
+    if name not in CARDINAL_METRICS:
+        raise DomainError(f"metric must be one of {sorted(CARDINAL_METRICS)}, got {name!r}")
+    return CARDINAL_METRICS[name]
+
+
+@dataclass(frozen=True)
+class RobustConfig:
+    """Anchors, blend weight and distance metric of the three weighting schemes."""
+
+    scale2: CredibilityScale2 = field(default_factory=CredibilityScale2)
+    scale3: CredibilityScale3 = DEFAULT_SCALE3
+    beta: float = 0.5
+    metric: MetricName = "manhattan"
+
+    def __post_init__(self):
+        _metric(self.metric)
+        if not 0.0 <= self.beta <= 1.0:
+            raise DomainError(f"beta must lie in [0, 1], got {self.beta!r}")
+
+
 def preferential_distances(
-    panel: ExpertPanel, metric: MetricName = "manhattan"
+    panel: ExpertPanel, metric: MetricName = RobustConfig.metric
 ) -> np.ndarray:
     """Distance of each expert's GMM vector from the equal-weight aggregate."""
     G, L = _panel_gmm_matrix(panel)
-    return CARDINAL_METRICS[metric](_weighted_geometric_mean(L, None), G)
+    return _metric(metric)(_weighted_geometric_mean(L, None), G)
 
 
 def inconsistency_distances(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Signed deviation of each expert's CI from the panel mean.
-
-    Returns the deviations, which sum to zero, together with the raw CI values.
-    """
+    """Each expert's CI minus the panel mean (the deviations sum to zero), and the CIs."""
     ci = np.array(panel_cis(panel))
     d = ci - ci.mean()
     d -= d.mean()  # kill the last ulp of centering error
     return d, ci
 
 
-def apdd_weights(
-    panel: ExpertPanel,
-    scale: CredibilityScale2 = CredibilityScale2(),
-    metric: MetricName = "manhattan",
-) -> ExpertWeights:
-    """Preferential-distance weights: a decreasing line from (d_min, h) to (d_max, l).
+def _credibility(d: np.ndarray, xp: list, fp: list) -> ExpertWeights:
+    """Map the deviations ``d`` linearly through the anchors (xp, fp), normalised.
 
-    When all experts are equally distant the line is undefined and the
-    scheme degenerates to uniform weights, so batch experiments survive
-    perfectly symmetric panels.
+    Anchors less than 1e-12 apart leave the map undefined: the weights are then
+    uniform, so batch experiments survive perfectly symmetric panels.
     """
-    d = preferential_distances(panel, metric)
-    d_min, d_max = d.min(), d.max()
-    if d_max - d_min < 1e-12:
-        return ExpertWeights.uniform(panel.k)
-    f = np.interp(d, [d_min, d_max], [scale.h, scale.l])
+    if xp[-1] - xp[0] < 1e-12:
+        return ExpertWeights.uniform(d.size)
+    f = np.interp(d, xp, fp)
     return ExpertWeights(f / f.sum())
 
 
-def aid_weights(
-    panel: ExpertPanel, scale: CredibilityScale3 = DEFAULT_SCALE3
-) -> ExpertWeights:
+def apdd_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
+    """Preferential-distance weights: a decreasing line from (d_min, h) to (d_max, l)."""
+    d = preferential_distances(panel, config.metric)
+    return _credibility(d, [d.min(), d.max()], [config.scale2.h, config.scale2.l])
+
+
+def aid_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
     """Inconsistency-deviation weights: a two-segment line through (h, m, l) anchors.
 
     The anchors sit at the centered CI deviations of the most consistent
@@ -123,17 +139,21 @@ def aid_weights(
     experts get l.  The rule reads deviations, not positions, so the weights
     do not depend on the order in which experts are listed.
     """
-    d, ci = inconsistency_distances(panel)
-    if ci.max() - ci.min() < 1e-12:
-        return ExpertWeights.uniform(panel.k)
+    d, _ = inconsistency_distances(panel)
     lo, hi = d.min(), d.max()
     inner = np.sort(d[(d > lo) & (d < hi)])
+    s = config.scale3
     if inner.size:
         mid = inner[np.argmin(np.abs(inner))]  # first of a tie is the lower d
-        f = np.interp(d, [lo, mid, hi], [scale.h, scale.m, scale.l])
-    else:
-        f = np.interp(d, [lo, hi], [scale.h, scale.l])
-    return ExpertWeights(f / f.sum())
+        return _credibility(d, [lo, mid, hi], [s.h, s.m, s.l])
+    return _credibility(d, [lo, hi], [s.h, s.l])
+
+
+def mx_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
+    """Convex blend beta * APDD + (1 - beta) * AID of the two weight vectors."""
+    r1 = apdd_weights(panel, config).r
+    r2 = aid_weights(panel, config).r
+    return ExpertWeights(config.beta * r1 + (1.0 - config.beta) * r2)
 
 
 def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:
@@ -155,47 +175,15 @@ def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:
     return CredibilityScale3(float(h), float(m), float(l))
 
 
-def mx_weights(
-    panel: ExpertPanel,
-    scale2: CredibilityScale2 = CredibilityScale2(),
-    scale3: CredibilityScale3 = DEFAULT_SCALE3,
-    beta: float = 0.5,
-    metric: MetricName = "manhattan",
-) -> ExpertWeights:
-    """Convex blend beta * APDD + (1 - beta) * AID of the two weight vectors."""
-    if not 0.0 <= beta <= 1.0:
-        raise DomainError("beta must lie in [0, 1]")
-    r1 = apdd_weights(panel, scale2, metric).r
-    r2 = aid_weights(panel, scale3).r
-    return ExpertWeights(beta * r1 + (1.0 - beta) * r2)
-
-
-@dataclass(frozen=True)
-class RobustConfig:
-    """Bundled configuration for the three weighting schemes."""
-
-    scale2: CredibilityScale2 = field(default_factory=CredibilityScale2)
-    scale3: CredibilityScale3 = DEFAULT_SCALE3
-    beta: float = 0.5
-    metric: MetricName = "manhattan"
-
-    def __post_init__(self):
-        if self.metric not in CARDINAL_METRICS:
-            raise DomainError(
-                f"metric must be one of {sorted(CARDINAL_METRICS)}, got {self.metric!r}"
-            )
+_METHODS = {"APDD": apdd_weights, "AID": aid_weights, "MX": mx_weights}
 
 
 def method_weights(
     panel: ExpertPanel, method: MethodName, config: RobustConfig = RobustConfig()
 ) -> ExpertWeights:
-    if method == "APDD":
-        return apdd_weights(panel, config.scale2, config.metric)
-    if method == "AID":
-        return aid_weights(panel, config.scale3)
-    if method == "MX":
-        return mx_weights(panel, config.scale2, config.scale3, config.beta, config.metric)
-    raise DomainError(f"unknown method {method!r}")
+    if method not in _METHODS:
+        raise DomainError(f"unknown method {method!r}")
+    return _METHODS[method](panel, config)
 
 
 def robust_aggregate(

@@ -255,7 +255,7 @@ def test_criterion_5_property_suites(exp1_records):
     for _ in range(100):
         panel = ExpertPanel(tuple(random_pcm(4, rng) for _ in range(5)))
         beta = float(rng.uniform())
-        blend = mx_weights(panel, beta=beta).r
+        blend = mx_weights(panel, RobustConfig(beta=beta)).r
         expected = beta * apdd_weights(panel).r + (1 - beta) * aid_weights(panel).r
         ok = ok and float(np.max(np.abs(blend - expected))) <= 1e-12
     checks.append(("blend convexity", ok, "violated"))

@@ -185,6 +185,45 @@ class TestInPlaceBribes:
         assert np.array_equal(outcome.honest_ranking.weights, honest.weights)
 
 
+class TestClosedForm:
+    """A bribe moves the expert's log-GMM gap g_i = L[i, winner] - L[i, runner-up]
+    to -c, c = 2(n-1)/n ln(saturation).  So the runner-up passes the winner once
+    the first b experts of the queue give sum(g_i + c) > sum(g) over all experts."""
+
+    @given(
+        k=st.integers(1, 24),
+        n=st.integers(2, 9),
+        alpha=st.floats(1.0, 81.0),
+        saturation=st.floats(2.0, 9.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_bribes_used_is_the_closed_form(self, k, n, alpha, saturation, seed):
+        rng = np.random.default_rng(seed)
+        w = PriorityVector.from_raw(rng.dirichlet(np.ones(n)) + 1e-3)
+        panel = perturb(consistent_matrix_from_priorities(w), alpha, rng, "log-uniform", k)
+        G = np.array([gmm_priorities(m).weights for m in panel.matrices])
+        order = aggregate_panel(panel).ranking()
+        winner, runner_up = int(order[0]), int(order[1])
+        g = np.log(G[:, winner]) - np.log(G[:, runner_up])
+        queue = np.argsort(-G[:, winner], kind="stable")
+        c = 2 * (n - 1) / n * np.log(saturation)
+        # k times the runner-up's log lead over the winner after b = 1, 2, ... bribes
+        margin = np.cumsum(g[queue] + c) - g.sum()
+        b = int(np.argmax(margin > 0)) + 1
+
+        def tied(bribes):
+            return abs(margin[bribes - 1]) <= 1e-9
+
+        # a low saturation can leave a third alternative on top even after every bribe
+        used = len(run_attack(panel, saturation=saturation).bribed_indices)
+        assert used >= b or tied(used)
+        if used > b and not tied(b):
+            # the runner-up has passed the winner, but a third alternative still leads
+            top = run_attack(panel, b, saturation).manipulated_ranking.ranking()[0]
+            assert top not in (winner, runner_up)
+
+
 class TestPublishedReplay:
     def test_honest_aggregate(self, five_alt_panel):
         target = normalized([0.145, 0.417, 0.072, 0.107, 0.233])

@@ -5,6 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -198,6 +199,9 @@ class TestMalformedInput:
             ({"alpha_stop": 1e308, "alpha_step": 1e-308}, 3, "alpha_step"),
             ({"alpha_step": 1e-300}, 3, "alpha_step"),
             ({"alpha_start": 1e308, "alpha_stop": 1, "alpha_step": 1e-308}, 3, "alpha_stop"),
+            ({"panel_size": 10**12}, 3, "panel_size"),
+            ({"counts": {"7": 10**12}}, 3, "counts"),
+            ({"counts": {"100": 10}, "panel_size": 1000, "alpha_step": 0.01}, 3, "alpha_step"),
         ],
     )
     def test_config(self, doc, code, key, tmp_path, capsys):
@@ -241,12 +245,16 @@ hostile = st.one_of(
 @st.composite
 def panel_texts(draw):
     """Panel documents near the valid ones: reciprocal matrices with a few cells,
-    rows, entries, ids or ``n`` broken.  n is bounded to keep the test fast."""
-    n = draw(st.integers(2, 9))
+    rows, entries, ids or ``n`` broken.  Past n = 9 the upper triangle comes from
+    a seeded generator, as Hypothesis's buffer cannot hold 4,950 drawn floats."""
+    n = draw(st.integers(2, 9) | st.sampled_from([30, 100]))
     experts = []
     for _ in range(draw(st.integers(0, 4))):
-        upper = draw(st.lists(st.floats(1 / 9, 9), min_size=n * (n - 1) // 2,
-                              max_size=n * (n - 1) // 2))
+        size = n * (n - 1) // 2
+        if n > 9:
+            upper = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(1 / 9, 9, size)
+        else:
+            upper = draw(st.lists(st.floats(1 / 9, 9), min_size=size, max_size=size))
         m = pcm_from_upper_triangle(n, upper).values.round(draw(st.sampled_from([2, 17]))).tolist()
         for _ in range(draw(st.integers(0, 2))):
             m[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(hostile)
@@ -309,6 +317,15 @@ class TestHostileDocuments:
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err and "Warning" not in err
 
+    def test_hundred_alternatives(self, tmp_path):
+        rng = np.random.default_rng(100)
+        matrices = [pcm_from_upper_triangle(100, rng.uniform(1 / 9, 9, 4950)) for _ in range(5)]
+        experts = [{"matrix": m.values.tolist()} for m in matrices]
+        path = tmp_path / "panel.json"
+        path.write_text(json.dumps({"n": 100, "experts": experts}))
+        for command in (["inspect"], ["aggregate", "--method", "MX"], ["attack"]):
+            assert run_quietly(command + ["--input", str(path)]) == (0, "")
+
     @given(text=config_texts, command=st.sampled_from(["aggregate", "attack"]))
     @example(text=DEEP, command="aggregate")
     @example(text='{"alpha_start": %s}' % BIG_INT, command="aggregate")
@@ -318,6 +335,7 @@ class TestHostileDocuments:
     @example(text='{"alpha_stop": 1e308, "alpha_step": 1e-308}', command="aggregate")
     @example(text='{"alpha_step": 1e-300}', command="aggregate")
     @example(text='{"counts": {"%s": 1}}' % ("7" * 5000), command="aggregate")
+    @example(text='{"panel_size": 1000000000000}', command="attack")
     @settings(max_examples=150, deadline=None)
     def test_config(self, text, command, five_alt_path, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "hostile_config.json"

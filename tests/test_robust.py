@@ -64,6 +64,21 @@ class TestScales:
         CredibilityScale3(0.4, 0.4, 0.2)  # what equal credibility_ratios give
 
 
+class TestRobustConfig:
+    @pytest.mark.parametrize("beta", [1.5, -0.1, float("nan")])
+    def test_rejects_beta_outside_unit_interval(self, beta):
+        # APDD and AID read the same config, so a bad beta cannot slip past them
+        with pytest.raises(DomainError, match="beta"):
+            RobustConfig(beta=beta)
+
+    def test_unknown_metric_is_a_domain_error(self):
+        panel = random_panel(np.random.default_rng(131))
+        with pytest.raises(DomainError, match="metric"):
+            preferential_distances(panel, "cosine")
+        with pytest.raises(DomainError, match="metric"):
+            RobustConfig(metric="cosine")
+
+
 class TestAPDD:
     def test_weights_decrease_with_distance(self):
         rng = np.random.default_rng(79)
@@ -102,7 +117,8 @@ class TestAPDD:
         panel = ExpertPanel(tuple(consistent_matrix_from_priorities(v) for v in shifts) * copies)
         d = preferential_distances(panel, metric)
         assert d.max() - d.min() < 1e-12
-        assert np.array_equal(apdd_weights(panel, metric=metric).r, np.full(panel.k, 1 / panel.k))
+        r = apdd_weights(panel, RobustConfig(metric=metric)).r
+        assert np.array_equal(r, np.full(panel.k, 1 / panel.k))
 
     def test_published_example_weights(self, eight_panel):
         printed = normalized([0.165, 0.11, 0.16, 0.15, 0.16, 0.15, 0.0331, 0.054])
@@ -140,7 +156,8 @@ class TestAID:
     def test_published_example_weights(self, eight_panel):
         scale = credibility_from_matrix(EXAMPLE_CREDIBILITY_MATRIX)
         printed = normalized([0.149, 0.109, 0.208, 0.159, 0.122, 0.19, 0.028, 0.03])
-        assert np.max(np.abs(aid_weights(eight_panel, scale).r - printed)) <= 2e-3
+        r = aid_weights(eight_panel, RobustConfig(scale3=scale)).r
+        assert np.max(np.abs(r - printed)) <= 2e-3
 
     def test_published_example_final_vector(self, eight_panel):
         scale = credibility_from_matrix(EXAMPLE_CREDIBILITY_MATRIX)
@@ -205,14 +222,14 @@ class TestMX:
         rng = np.random.default_rng(107)
         panel = random_panel(rng)
         for beta in (0.0, 0.3, 0.5, 1.0):
-            r = mx_weights(panel, beta=beta).r
+            r = mx_weights(panel, RobustConfig(beta=beta)).r
             expected = beta * apdd_weights(panel).r + (1 - beta) * aid_weights(panel).r
             assert np.max(np.abs(r - expected)) <= 1e-12
 
     def test_rejects_beta_outside_unit_interval(self):
         rng = np.random.default_rng(109)
         with pytest.raises(DomainError):
-            mx_weights(random_panel(rng), beta=1.5)
+            mx_weights(random_panel(rng), RobustConfig(beta=1.5))
 
     def test_published_example_final_vector(self, eight_panel):
         scale = credibility_from_matrix(EXAMPLE_CREDIBILITY_MATRIX)
