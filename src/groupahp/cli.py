@@ -29,7 +29,7 @@ from .montecarlo import (
     summarize,
 )
 from .panelio import RunConfig, check_value, load_config, load_panel, panel_document, save_panel
-from .robust import method_weights
+from .robust import METHODS, method_weights
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -44,21 +44,30 @@ def _print_vector(label: str, w) -> None:
     print(f"{label}: [{', '.join(_fmt(x) for x in np.asarray(w))}]")
 
 
+def _load_config(args) -> RunConfig:
+    """The ``--config`` file, with each ``--seed``, ``--workers`` or ``--max-bribes`` given
+    checked like its config key and put over it."""
+    flags = {key: getattr(args, key, None) for key in ("seed", "workers", "max_bribes")}
+    return replace(load_config(args.config), **{
+        key: check_value(key, value, "--" + key.replace("_", "-"))
+        for key, value in flags.items() if value is not None
+    })
+
+
 def cmd_aggregate(args) -> int:
     panel, ids = load_panel(args.input)
-    config = load_config(args.config)
+    config = _load_config(args)
     print(f"panel: {panel.k} experts, {panel.n} alternatives")
     for eid, v in zip(ids, panel_gmm(panel)):
         _print_vector(f"priorities {eid}", v.weights)
     for eid, ci in zip(ids, panel_cis(panel)):
         print(f"CI {eid}: {_fmt(ci)}")
-    method = args.method.upper()
     weights = None
-    if method != "CLASSIC":
-        weights = method_weights(panel, method, config.robust)
+    if args.method != "CLASSIC":
+        weights = method_weights(panel, args.method, config.robust)
         _print_vector("expert weights", weights.r)
     final = aggregate_panel(panel, weights)
-    _print_vector(f"final ranking ({method})", final.weights)
+    _print_vector(f"final ranking ({args.method})", final.weights)
     order = final.ranking()
     print("order:", " > ".join(f"a{i + 1}" for i in order))
     print(f"winner: a{order[0] + 1} ({_fmt(final.weights[order[0]])})")
@@ -67,11 +76,8 @@ def cmd_aggregate(args) -> int:
 
 def cmd_attack(args) -> int:
     panel, ids = load_panel(args.input)
-    config = load_config(args.config)
-    max_bribes = config.max_bribes
-    if args.max_bribes is not None:
-        max_bribes = check_value("max_bribes", args.max_bribes, "--max-bribes")
-    outcome = run_attack(panel, max_bribes, config.saturation)
+    config = _load_config(args)
+    outcome = run_attack(panel, config.max_bribes, config.saturation)
     _print_vector("honest aggregate", outcome.honest_ranking.weights)
     print("bribed:", [ids[q] for q in outcome.bribed_indices])
     _print_vector("manipulated ranking", outcome.manipulated_ranking.weights)
@@ -99,23 +105,14 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
             writer.writerow([_fmt(x) if isinstance(x, float) else x for x in row])
 
 
-def _prepare_run(args) -> tuple[RunConfig, Path, list[Scenario]] | None:
-    """Resolve the config and seed, check the output directory, generate the corpus.
-
-    Returns None, after reporting, when the output directory is not writable.
-    """
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = replace(config, seed=check_value("seed", args.seed, "--seed"))
+def _prepare_run(args) -> tuple[RunConfig, Path, list[Scenario]]:
+    """Resolve the config, check that the output directory is writable, generate the corpus."""
+    config = _load_config(args)
     out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        probe = out_dir / ".write-probe"
-        probe.write_text("")
-        probe.unlink()
-    except OSError as exc:
-        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return None
+    out_dir.mkdir(parents=True, exist_ok=True)
+    probe = out_dir / ".write-probe"
+    probe.write_text("")
+    probe.unlink()
     scenarios = generate_corpus(
         config.seed,
         config.counts,
@@ -127,19 +124,13 @@ def _prepare_run(args) -> tuple[RunConfig, Path, list[Scenario]] | None:
 
 
 def cmd_experiment(args) -> int:
-    if args.workers is not None:
-        check_value("workers", args.workers, "--workers")
-    prepared = _prepare_run(args)
-    if prepared is None:
-        return EXIT_IO
-    config, out_dir, scenarios = prepared
-    workers = config.workers if args.workers is None else args.workers
+    config, out_dir, scenarios = _prepare_run(args)
     if args.which == 1:
         records = experiment1(
-            scenarios, config.robust, config.max_bribes, config.saturation, workers
+            scenarios, config.robust, config.max_bribes, config.saturation, config.workers
         )
     else:
-        records = experiment2(scenarios, config.robust, workers)
+        records = experiment2(scenarios, config.robust, config.workers)
     # load_config rejects an empty corpus, so there is a first row
     _write_csv(out_dir / "records.csv", list(records[0]), (r.values() for r in records))
     _write_csv(
@@ -155,10 +146,7 @@ def cmd_experiment(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    prepared = _prepare_run(args)
-    if prepared is None:
-        return EXIT_IO
-    _, out_dir, scenarios = prepared
+    _, out_dir, scenarios = _prepare_run(args)
     index = []
     for s in scenarios:
         name = f"scenario_{s.scenario_id:05d}.json"
@@ -189,9 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("aggregate", help="aggregate an expert panel")
     p.add_argument("--input", required=True)
-    p.add_argument(
-        "--method", default="CLASSIC", choices=["CLASSIC", "APDD", "AID", "MX"]
-    )
+    p.add_argument("--method", default="CLASSIC", choices=["CLASSIC", *METHODS])
     p.add_argument("--config")
     p.set_defaults(func=cmd_aggregate)
 

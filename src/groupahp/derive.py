@@ -5,7 +5,10 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ExpertPanel, PCMatrix, PriorityVector
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError
+
+EVM_TOL = 1e-12  # a matrix has converged once a step moves its vector less than this
+EVM_MAX_ITER = 10_000  # power-iteration steps before ConvergenceError
 
 
 def _row_gmm(A: np.ndarray) -> np.ndarray:
@@ -50,27 +53,23 @@ def _panel_gmm_matrix(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
     return panel._memo["gmm"], panel._memo["log_gmm"]
 
 
-def evm_stack(
-    A: np.ndarray, tol: float = 1e-12, max_iter: int = 10_000
-) -> tuple[np.ndarray, np.ndarray]:
+def evm_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue method via power iteration over a (k, n, n) stack of matrices.
 
     Returns the (k, n) normalized principal eigenvectors and the k eigenvalues
     lambda_max.  Iteration starts from the row geometric means, and each matrix
     stops on its own once successive normalized vectors differ by less than
-    ``tol`` in the max norm, so its result does not depend on the rest of the
+    ``EVM_TOL`` in the max norm, so its result does not depend on the rest of the
     stack.  A positive matrix has a unique positive dominant eigenpair
-    (Perron-Frobenius), so convergence failure means too small a budget.
+    (Perron-Frobenius); failure means |lambda_2| / lambda_max is too near 1 for the budget.
     """
-    if tol <= 0:
-        raise DomainError("tol must be positive")
     v = _row_gmm(A)
     active = np.arange(len(A))
     A_act, v_act = A, v
-    for _ in range(max_iter):
+    for _ in range(EVM_MAX_ITER):
         av = (A_act @ v_act[..., None])[..., 0]
         v_next = av / av.sum(axis=1, keepdims=True)
-        moving = ~(abs(v_next - v_act).max(axis=1) < tol)  # NaN keeps moving
+        moving = ~(abs(v_next - v_act).max(axis=1) < EVM_TOL)  # NaN keeps moving
         if moving.all():
             v_act = v_next
             continue
@@ -80,14 +79,12 @@ def evm_stack(
         if not active.size:
             break
     else:
-        raise ConvergenceError(f"power iteration did not converge in {max_iter} steps")
+        raise ConvergenceError(f"power iteration did not converge in {EVM_MAX_ITER} steps")
     lam = np.mean((A @ v[..., None])[..., 0] / v, axis=1)
     return v / v.sum(axis=1, keepdims=True), lam
 
 
-def evm_priorities(
-    C: PCMatrix, tol: float = 1e-12, max_iter: int = 10_000
-) -> tuple[PriorityVector, float]:
+def evm_priorities(C: PCMatrix) -> tuple[PriorityVector, float]:
     """Eigenvalue method for one matrix: ``evm_stack`` on a stack of one."""
-    v, lam = evm_stack(C.values[None], tol, max_iter)
+    v, lam = evm_stack(C.values[None])
     return PriorityVector(v[0]), float(lam[0])

@@ -23,9 +23,7 @@ from .core import (ExpertPanel, PCMatrix, PriorityVector, consistent_matrix_from
 from .errors import DomainError, EmptyReportError
 from .inconsistency import fill_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
-from .robust import RobustConfig, robust_aggregate
-
-METHODS = ("APDD", "AID", "MX")
+from .robust import METHODS, RobustConfig, robust_aggregate
 
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI

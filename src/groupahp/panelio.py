@@ -84,8 +84,8 @@ def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
     n, experts = doc.get("n"), doc.get("experts")
     if type(n) is not int:
         raise PanelParseError(f"'n' must be an integer, got {n!r}")
-    if n < 2:
-        raise DomainError(f"'n' must be at least 2, got {n}")
+    if not 2 <= n <= MAX_ALTERNATIVES:  # checked before any matrix is read
+        raise DomainError(f"'n' must lie in 2..{MAX_ALTERNATIVES}, got {n}")
     if not (isinstance(experts, list) and experts):
         raise PanelParseError("'experts' must be a non-empty list")
     ids, grids = [], []

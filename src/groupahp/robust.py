@@ -101,12 +101,12 @@ def preferential_distances(
     return _metric(metric)(_weighted_geometric_mean(L, None), G)
 
 
-def inconsistency_distances(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
-    """Each expert's CI minus the panel mean (the deviations sum to zero), and the CIs."""
+def inconsistency_distances(panel: ExpertPanel) -> np.ndarray:
+    """Each expert's CI minus the panel mean; the deviations sum to zero."""
     ci = np.array(panel_cis(panel))
     d = ci - ci.mean()
     d -= d.mean()  # kill the last ulp of centering error
-    return d, ci
+    return d
 
 
 def _credibility(d: np.ndarray, xp: list, fp: list) -> ExpertWeights:
@@ -139,7 +139,7 @@ def aid_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> Ex
     experts get l.  The rule reads deviations, not positions, so the weights
     do not depend on the order in which experts are listed.
     """
-    d, _ = inconsistency_distances(panel)
+    d = inconsistency_distances(panel)
     lo, hi = d.min(), d.max()
     inner = np.sort(d[(d > lo) & (d < hi)])
     s = config.scale3
@@ -176,6 +176,7 @@ def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:
 
 
 _METHODS = {"APDD": apdd_weights, "AID": aid_weights, "MX": mx_weights}
+METHODS = tuple(_METHODS)
 
 
 def method_weights(

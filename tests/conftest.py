@@ -7,6 +7,10 @@ from groupahp import bundled_panel
 # survive output capturing.
 ACCEPTANCE_REPORT: list[str] = []
 
+# Upper triangle of a valid n = 4 matrix with |lambda_2| / lambda_max = 0.9985,
+# on which the power iteration runs out of its 10,000 steps.
+SLOW_EVM_UPPER = [1, 0.001, 1000, 10, 1, 0.001]
+
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     if ACCEPTANCE_REPORT:

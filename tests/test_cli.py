@@ -12,8 +12,14 @@ from hypothesis import strategies as st
 
 from groupahp import pcm_from_upper_triangle
 from groupahp.cli import main
+from tests.conftest import SLOW_EVM_UPPER
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
+# a valid panel whose second expert's CI needs more than the power iteration's budget
+SLOW_EVM_PANEL = json.dumps({"n": 4, "experts": [
+    {"matrix": pcm_from_upper_triangle(4, upper).values.tolist()}
+    for upper in ([2, 3, 4, 2, 3, 2], SLOW_EVM_UPPER)
+]})
 
 
 @pytest.fixture(scope="module")
@@ -167,6 +173,25 @@ class TestExitCodes:
         assert main(["aggregate", "--input", str(tmp_path / "missing.json")]) == 4
         assert "i/o error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command", [["experiment", "--which", "2"], ["gen"]], ids=["experiment", "gen"]
+    )
+    def test_unwritable_out_dir(self, command, small_config, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "o"
+        assert main([*command, "--config", small_config, "--out", str(out_dir)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error") and str(out_dir) in err
+
+    @pytest.mark.parametrize("command", [["inspect"], ["aggregate"]])
+    def test_power_iteration_out_of_budget(self, command, tmp_path, capsys):
+        path = tmp_path / "panel.json"
+        path.write_text(SLOW_EVM_PANEL)
+        assert main([*command, "--input", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "did not converge" in err and "Traceback" not in err
+
 
 class TestMalformedInput:
     """Malformed configs and panels exit 2 (wrong type) or 3 (out of range)
@@ -221,6 +246,7 @@ class TestMalformedInput:
             ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, 2], [0.5]]}]}, 2, "bob"),
             ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, "2"], [0.5, 1]]}]}, 2, "bob"),
             ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, True], [1, 1]]}]}, 2, "bob"),
+            ({"n": 101, "experts": [{"matrix": []}]}, 3, "'n'"),
         ],
     )
     def test_panel(self, doc, code, key, tmp_path, capsys):
@@ -308,6 +334,7 @@ class TestHostileDocuments:
              command="aggregate")
     @example(text='{"n": 2, "experts": [{"matrix": [[1, 1e300], [1e300, 1]]}]}',
              command="aggregate")
+    @example(text=SLOW_EVM_PANEL, command="inspect")
     @settings(max_examples=150, deadline=None)
     def test_panel(self, text, command, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "hostile_panel.json"

@@ -15,6 +15,7 @@ from groupahp import (
     pcm_from_upper_triangle,
     perturb,
 )
+from tests.conftest import SLOW_EVM_UPPER
 from tests.test_core import random_pcm
 
 
@@ -93,10 +94,10 @@ class TestEVM:
             assert np.max(np.abs(v.weights - gmm_priorities(m).weights)) <= 1e-10
 
     def test_raises_when_iteration_budget_exhausted(self):
-        rng = np.random.default_rng(19)
-        m = random_pcm(5, rng)
-        with pytest.raises(ConvergenceError):
-            evm_priorities(m, tol=1e-300, max_iter=3)
+        # |lambda_2| / lambda_max = 0.9985: 10,000 steps are not enough
+        m = pcm_from_upper_triangle(4, SLOW_EVM_UPPER)
+        with pytest.raises(ConvergenceError, match="did not converge in 10000 steps"):
+            evm_priorities(m)
 
 
 class TestGMMMemo:

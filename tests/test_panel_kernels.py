@@ -22,11 +22,13 @@ from groupahp import (
     gmm_priorities,
     panel_cis,
     panel_gmm,
+    pcm_from_upper_triangle,
     preferential_distances,
     saaty_ci,
 )
 from groupahp import derive, inconsistency
 from groupahp.metrics import CARDINAL_METRICS
+from tests.conftest import SLOW_EVM_UPPER
 from tests.test_core import random_pcm
 
 KINDS = ("perturbed", "consistent", "bribed", "tied")
@@ -129,10 +131,12 @@ def test_power_iteration_ci_matches_lapack(n, alpha, seed):
 
 
 def test_evm_stack_raises_on_exhausted_budget():
+    # three matrices that converge and one that needs more than 10,000 steps
     rng = np.random.default_rng(19)
-    stack = np.stack([random_pcm(5, rng).values for _ in range(4)])
-    with pytest.raises(ConvergenceError):
-        evm_stack(stack, tol=1e-300, max_iter=3)
+    slow = pcm_from_upper_triangle(4, SLOW_EVM_UPPER).values
+    stack = np.stack([random_pcm(4, rng).values for _ in range(3)] + [slow])
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        evm_stack(stack)
 
 
 def test_each_matrix_stops_on_its_own_test():

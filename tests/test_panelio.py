@@ -240,6 +240,12 @@ class TestRunConfig:
         assert cfg.panel_size == 3
         assert cfg.counts == {4: 2}
 
+    def test_null_max_bribes_means_no_cap(self, tmp_path):
+        path = write_json(tmp_path, {"max_bribes": None}, "cfg.json")
+        cfg = load_config(path)
+        assert cfg.max_bribes is None
+        assert cfg == RunConfig()
+
     def test_credibility_ratios(self, tmp_path):
         path = write_json(tmp_path, {"credibility_ratios": [5, 3, 1]}, "cfg.json")
         cfg = load_config(path)
