@@ -28,15 +28,19 @@ def _weights_or_uniform(r: ExpertWeights | None, k: int) -> np.ndarray:
 def aij(panel: ExpertPanel, r: ExpertWeights | None = None) -> PCMatrix:
     """Aggregate judgments: entrywise weighted geometric mean of the matrices."""
     w = _weights_or_uniform(r, panel.k)
-    logs = np.stack([np.log(m.values) for m in panel.matrices])
     # exact reciprocity can drift by a few ulp; restore it from the upper triangle
-    return PCMatrix(resymmetrize(np.exp(np.tensordot(w, logs, axes=1))))
+    return PCMatrix(resymmetrize(np.exp(np.tensordot(w, np.log(panel.stack), axes=1))))
+
+
+def _wgm_stack(W: np.ndarray, L: np.ndarray) -> np.ndarray:
+    """Normalized exp(w @ logs) per batch: (S, k) weights over (S, k, n) log priorities."""
+    combined = np.exp(np.matmul(W[:, None, :], L)[:, 0])
+    return combined / combined.sum(axis=1, keepdims=True)
 
 
 def _weighted_geometric_mean(logs: np.ndarray, r: ExpertWeights | None) -> PriorityVector:
-    """Normalized exp(w @ logs) for a (k, n) matrix of log priorities."""
-    combined = np.exp(_weights_or_uniform(r, len(logs)) @ logs)
-    return PriorityVector(combined / combined.sum())
+    """``_wgm_stack`` on a batch of one (k, n) matrix of log priorities."""
+    return PriorityVector(_wgm_stack(_weights_or_uniform(r, len(logs))[None], logs[None])[0])
 
 
 def aip(

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aggregate import _weighted_geometric_mean, aggregate_panel
-from .core import ExpertPanel, PCMatrix, PriorityVector
-from .derive import _panel_gmm_matrix, gmm_priorities
+from .aggregate import _wgm_stack
+from .core import ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack
+from .derive import _panel_gmm_matrix, _row_gmm
 from .errors import DomainError, ShapeError
 
 
@@ -27,59 +27,69 @@ class AttackOutcome:
     honest_ranking: PriorityVector  # the aggregate of the panel before any bribe
 
 
-def bribe_matrix(
-    C: PCMatrix, promoted: int, demoted: int, saturation: float = 9.0
-) -> PCMatrix:
-    """Doctor one expert's matrix in favor of ``promoted`` over ``demoted``.
+def _check_saturation(saturation: float) -> None:
+    if not saturation > 1.0:
+        raise DomainError("saturation must exceed 1")
 
-    The promoted alternative's row is set to the saturation value against
-    all others, the demoted one's row to its reciprocal; columns mirror the
-    rows.  Entries not involving either alternative are left untouched.
-    """
-    n = C.n
-    if not (0 <= promoted < n and 0 <= demoted < n):
+
+def _bribe_stack(A: np.ndarray, promoted, demoted, saturation: float) -> None:
+    """Doctor each (n, n) matrix of the stack A in place: promoted[s]'s row saturates against
+    all others, demoted[s]'s row gets the reciprocal, columns mirror rows."""
+    s, inv = np.arange(len(A)), 1.0 / saturation
+    for alt, row, col in ((demoted, inv, saturation), (promoted, saturation, inv)):
+        A[s, alt, :], A[s, :, alt], A[s, alt, alt] = row, col, 1.0
+
+
+def bribe_matrix(C: PCMatrix, promoted: int, demoted: int, saturation: float = 9.0) -> PCMatrix:
+    """Doctor one expert's matrix in favor of ``promoted``: ``_bribe_stack`` on a stack of one."""
+    if not (0 <= promoted < C.n and 0 <= demoted < C.n):
         raise ShapeError("alternative index out of range")
     if promoted == demoted:
         raise DomainError("promoted and demoted alternatives must differ")
-    if saturation <= 1.0:
-        raise DomainError("saturation must exceed 1")
-    m = C.values.copy()
-    others = [j for j in range(n) if j != demoted]
-    m[demoted, others] = 1.0 / saturation
-    m[others, demoted] = saturation
-    others = [j for j in range(n) if j != promoted]
-    m[promoted, others] = saturation
-    m[others, promoted] = 1.0 / saturation
-    return PCMatrix(m)
+    _check_saturation(saturation)
+    m = C.values[None].copy()
+    _bribe_stack(m, promoted, demoted, saturation)
+    return PCMatrix(m[0])
+
+
+def _attack_stack(A, G, max_bribes: int | None, saturation: float):
+    """Attack S panels with (S, k, n, n) matrices A and GMM vectors G, rewritten in place.
+
+    Support is ranked once, as nobody is bribed twice; step b bribes the b-th queued
+    expert of every panel not yet flipped.  Returns the (S, budget) queues, bribes used,
+    success flags, and the manipulated and honest aggregates."""
+    S, k = G.shape[:2]
+    L, uniform = np.log(G), np.full((S, k), 1.0 / k)
+    honest = _check_rows(_wgm_stack(uniform, L))
+    winner, runner_up = np.argsort(-honest, axis=1, kind="stable")[:, :2].T
+    budget = k if max_bribes is None else max(max_bribes, 0)
+    # descending support, ties towards the lower expert index
+    queue = np.argsort(-G[np.arange(S), :, winner], axis=1, kind="stable")[:, :budget]
+    ranking, used, succeeded = honest.copy(), np.zeros(S, int), np.zeros(S, bool)
+    for b in range(queue.shape[1]):
+        s = np.flatnonzero(~succeeded)
+        if not s.size:
+            break
+        t, M = queue[s, b], A[s, queue[s, b]]
+        _bribe_stack(M, runner_up[s], winner[s], saturation)
+        _check_stack(M)
+        g = _check_rows(_row_gmm(M))
+        A[s, t], G[s, t], L[s, t] = M, g, np.log(g)
+        r = _check_rows(_wgm_stack(uniform[s], L[s]))
+        # argmax takes the first of a tie, as the stable ranking does
+        ranking[s], used[s], succeeded[s] = r, b + 1, r.argmax(axis=1) == runner_up[s]
+    return queue, used, succeeded, ranking, honest
 
 
 def run_attack(
     panel: ExpertPanel, max_bribes: int | None = None, saturation: float = 9.0
 ) -> AttackOutcome:
-    """Bribe experts one by one until the honest runner-up tops the ranking.
-
-    Support for the incumbent is ranked once, on the honest panel: a bribe
-    changes only the bribed expert's matrix, and nobody is bribed twice.  So
-    each bribe rewrites one row of a copy of the panel's log-GMM matrix, and
-    the manipulated panel is built once, at the end.
-    """
-    budget = panel.k if max_bribes is None else max(max_bribes, 0)
-
-    honest = aggregate_panel(panel)
-    order = honest.ranking()
-    winner, runner_up = int(order[0]), int(order[1])
-    G, L = _panel_gmm_matrix(panel)
-    # descending support, ties towards the lower expert index
-    queue = np.argsort(-G[:, winner], kind="stable")[:budget].tolist()
-
-    mats, L = list(panel.matrices), L.copy()
-    ranking, used, succeeded = honest, 0, False
-    for used, target in enumerate(queue, start=1):
-        mats[target] = bribe_matrix(mats[target], runner_up, winner, saturation)
-        L[target] = np.log(gmm_priorities(mats[target]).weights)
-        ranking = _weighted_geometric_mean(L, None)
-        succeeded = int(ranking.ranking()[0]) == runner_up
-        if succeeded:
-            break
-    manipulated = ExpertPanel(tuple(mats)) if used else panel
-    return AttackOutcome(tuple(queue[:used]), manipulated, succeeded, ranking, honest)
+    """Bribe experts one by one until the honest runner-up tops the ranking:
+    ``_attack_stack`` on a batch of one, read from the panel's memoised GMM matrix."""
+    _check_saturation(saturation)
+    A, G = panel.stack[None].copy(), _panel_gmm_matrix(panel)[0][None].copy()
+    queue, used, ok, ranking, honest = _attack_stack(A, G, max_bribes, saturation)
+    bribed = tuple(queue[0, :used[0]].tolist())
+    manipulated = ExpertPanel.from_stack(A[0]) if bribed else panel
+    return AttackOutcome(bribed, manipulated, bool(ok[0]), PriorityVector(ranking[0]),
+                         PriorityVector(honest[0]))

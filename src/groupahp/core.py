@@ -10,6 +10,7 @@ GMM matrix and that matrix's log; memo writes are idempotent, so sharing stays s
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -42,24 +43,27 @@ def _check_stack(A: np.ndarray) -> None:
         raise ShapeError(f"expected a square matrix, got shape {A.shape[1:]}")
     if A.shape[1] < 2:
         raise ShapeError("a comparison matrix needs at least 2 alternatives")
-    if not np.all(np.isfinite(A)) or np.any(A <= 0.0):
+    # ndarray methods, not np.all/np.any, whose Python wrappers cost more than the test
+    if not np.isfinite(A).all() or (A <= 0.0).any():
         raise DomainError("all matrix entries must be positive finite numbers")
-    if np.any(np.diagonal(A, axis1=1, axis2=2) != 1.0):
+    if (A.diagonal(axis1=1, axis2=2) != 1.0).any():
         raise DomainError("diagonal entries must equal 1 exactly")
-    if np.any(np.abs(A * A.transpose(0, 2, 1) - 1.0) > RECIPROCITY_TOL):
+    if (np.abs(A * A.transpose(0, 2, 1) - 1.0) > RECIPROCITY_TOL).any():
         raise DomainError(
             f"reciprocity violated beyond tolerance {RECIPROCITY_TOL:g}"
         )
 
 
-def _check_priorities(W: np.ndarray) -> None:
-    """Raise unless each row of the (k, n) array W is a priority vector."""
-    if W.ndim != 2 or W.shape[1] < 2:
-        raise ShapeError("a priority vector needs at least 2 components")
-    if not np.all(np.isfinite(W)) or np.any(W <= 0.0):
-        raise DomainError("all priorities must be positive finite numbers")
-    if np.any(np.abs(W.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL):
-        raise DomainError("priorities must sum to 1")
+def _check_rows(W: np.ndarray, what: str = "priorities", least: int = 2) -> np.ndarray:
+    """W, unless a row of the 2-D array W has fewer than ``least`` positive finite ``what``
+    or does not sum to 1: each row a priority vector, or a panel's expert weights (least 1)."""
+    if W.ndim != 2 or W.shape[1] < least:
+        raise ShapeError(f"expected at least {least} {what} per row")
+    if not np.isfinite(W).all() or (W <= 0.0).any():
+        raise DomainError(f"all {what} must be positive finite numbers")
+    if (np.abs(W.sum(axis=1) - 1.0) > WEIGHT_SUM_TOL).any():
+        raise DomainError(f"{what} must sum to 1")
+    return W
 
 
 class _ReadOnlyArrays:
@@ -104,14 +108,14 @@ class PriorityVector(_ReadOnlyArrays):
 
     def __post_init__(self):
         arr = _frozen_array(self.weights)
-        _check_priorities(arr[None])
+        _check_rows(arr[None])
         object.__setattr__(self, "weights", arr)
 
     @classmethod
     def from_rows(cls, W) -> tuple["PriorityVector", ...]:
         """Validate a (k, n) array once and wrap each read-only row as a PriorityVector."""
         arr = _frozen_array(W)
-        _check_priorities(arr)
+        _check_rows(arr)
         return tuple(_unchecked(cls, weights=w) for w in arr)
 
     @classmethod
@@ -154,7 +158,17 @@ class ExpertPanel(_ReadOnlyArrays):
         """Validate a (k, n, n) stack once and wrap each read-only slice as a PCMatrix."""
         arr = _frozen_array(A)
         _check_stack(arr)
-        return cls(tuple(_unchecked(PCMatrix, values=m, _memo={}) for m in arr))
+        panel = cls(tuple(_unchecked(PCMatrix, values=m, _memo={}) for m in arr))
+        panel.__dict__["stack"] = arr
+        return panel
+
+    @cached_property
+    def stack(self) -> np.ndarray:
+        """The read-only (k, n, n) array of the matrices, stacked at most once."""
+        return _frozen_array([m.values for m in self.matrices])
+
+    def __getstate__(self):  # unpickled, the stack is rebuilt on demand, not sent twice
+        return {key: value for key, value in self.__dict__.items() if key != "stack"}
 
     @property
     def k(self) -> int:
@@ -178,12 +192,7 @@ class ExpertWeights(_ReadOnlyArrays):
 
     def __post_init__(self):
         arr = _frozen_array(self.r)
-        if arr.ndim != 1 or arr.size < 1:
-            raise ShapeError("expert weights must be a non-empty vector")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise DomainError("expert weights must be strictly positive")
-        if abs(arr.sum() - 1.0) > WEIGHT_SUM_TOL:
-            raise DomainError("expert weights must sum to 1")
+        _check_rows(arr[None], "expert weights", 1)
         object.__setattr__(self, "r", arr)
 
     @classmethod

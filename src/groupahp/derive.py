@@ -12,34 +12,31 @@ EVM_MAX_ITER = 10_000  # power-iteration steps before ConvergenceError
 
 
 def _row_gmm(A: np.ndarray) -> np.ndarray:
-    """Normalized row geometric means of each matrix in a (k, n, n) stack."""
-    s = np.exp(np.mean(np.log(A), axis=2))
-    return s / s.sum(axis=1, keepdims=True)
-
-
-def _memoise_gmm(mats: list[PCMatrix]) -> None:
-    if mats:
-        vectors = PriorityVector.from_rows(_row_gmm(np.stack([m.values for m in mats])))
-        for m, v in zip(mats, vectors):
-            m._memo["gmm"] = v
+    """Normalized row geometric means of each matrix in a (..., n, n) stack."""
+    s = np.exp(np.mean(np.log(A), axis=-1))
+    return s / s.sum(axis=-1, keepdims=True)
 
 
 def gmm_priorities(C: PCMatrix) -> PriorityVector:
     """Geometric mean method: normalized row geometric means, memoised per matrix."""
     if "gmm" not in C._memo:
-        _memoise_gmm([C])
+        C._memo["gmm"] = PriorityVector.from_rows(_row_gmm(C.values[None]))[0]
     return C._memo["gmm"]
 
 
 def panel_gmm(panel: ExpertPanel) -> list[PriorityVector]:
-    """Each expert's GMM vector; the ones not yet memoised come from one log-mean.
+    """Each expert's GMM vector; the missing ones come from one log-mean over the panel's stack.
 
     Also memoises, read-only on the panel, the (k, n) matrix of these vectors
     and its log, which the aggregation kernels work on.
     """
-    _memoise_gmm([m for m in panel.matrices if "gmm" not in m._memo])
+    memoised = "log_gmm" in panel._memo  # then so is every expert's vector
+    missing = [] if memoised else [i for i, m in enumerate(panel.matrices) if "gmm" not in m._memo]
+    if missing:
+        for i, v in zip(missing, PriorityVector.from_rows(_row_gmm(panel.stack[missing]))):
+            panel.matrices[i]._memo["gmm"] = v
     vectors = [gmm_priorities(m) for m in panel.matrices]
-    if "log_gmm" not in panel._memo:
+    if not memoised:
         G = np.stack([v.weights for v in vectors])
         panel._memo.update(gmm=G, log_gmm=np.log(G))
         for x in panel._memo.values():

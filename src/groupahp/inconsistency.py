@@ -11,15 +11,19 @@ from .errors import DomainError
 _TRIAD_BLOCK = 1 << 16
 
 
+def _stack_cis(A: np.ndarray) -> np.ndarray:
+    """The CIs of a non-empty (k, n, n) stack, from one power iteration; see ``saaty_ci``."""
+    return np.maximum((evm_stack(A)[1] - A.shape[-1]) / (A.shape[-1] - 1), 0.0)
+
+
 def _memoise_cis(mats: list[PCMatrix]) -> None:
     """Memoise each matrix's CI, with one power iteration per matrix size."""
     by_n: dict[int, dict[int, PCMatrix]] = {}
     for m in mats:
         by_n.setdefault(m.n, {})[id(m)] = m  # a repeated matrix is derived once
     for group in by_n.values():
-        _, lam = evm_stack(np.stack([m.values for m in group.values()]))
-        for m, x in zip(group.values(), lam):
-            m._memo["ci"] = max(0.0, (float(x) - m.n) / (m.n - 1))
+        for m, ci in zip(group.values(), _stack_cis(np.stack([m.values for m in group.values()]))):
+            m._memo["ci"] = float(ci)
 
 
 def saaty_ci(C: PCMatrix) -> float:

@@ -16,19 +16,21 @@ from functools import partial
 
 import numpy as np
 
-from .aggregate import aggregate_panel
-from .attack import run_attack
-from .core import (ExpertPanel, PCMatrix, PriorityVector, consistent_matrix_from_priorities,
-                   resymmetrize)
+from .aggregate import _wgm_stack, aggregate_panel
+from .attack import _attack_stack, _check_saturation
+from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_rows,
+                   consistent_matrix_from_priorities, resymmetrize)
+from .derive import _row_gmm
 from .errors import DomainError, EmptyReportError
-from .inconsistency import fill_cis, panel_mean_ci
+from .inconsistency import _stack_cis, fill_cis, panel_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
-from .robust import METHODS, RobustConfig, robust_aggregate
+from .robust import (METHODS, RobustConfig, _aid_stack, _apdd_stack, _centred, _metric,
+                     _mx_stack, robust_aggregate)
 
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
 CI_THRESHOLD = 0.1  # the low-inconsistency region the headline statistics cover
-CHUNK = 32  # scenarios per chunk: one pool task, and one CI fill in experiment 1
+CHUNK = 32  # scenarios per chunk: one pool task, and one stacked attack in experiment 1
 
 
 @dataclass(frozen=True)
@@ -118,38 +120,46 @@ def generate_corpus(
     ]
 
 
-def _classify(honest: PriorityVector, restored: PriorityVector) -> str:
-    ho = honest.ranking()
-    ro = restored.ranking()
-    if np.array_equal(ho, ro):
-        return "RR"
-    if ho[0] == ro[0] and ho[1] == ro[1]:
-        return "WR"
-    return "FAILURE"
+def _classify(honest, restored):
+    """'RR' if two rankings agree, 'WR' if their top two do, else 'FAILURE'; per row of arrays."""
+    ho, ro = (np.argsort(-getattr(v, "weights", v), kind="stable") for v in (honest, restored))
+    same = ho == ro
+    return np.where(same.all(-1), "RR", np.where(same[..., :2].all(-1), "WR", "FAILURE")).tolist()
 
 
 def _column(metric: str, method: str) -> str:
     return f"{metric}_{method.lower()}"
 
 
-def _run_experiment1_one(scenario: Scenario, outcome, config: RobustConfig) -> dict:
-    honest = outcome.honest_ranking
-    restored = {m: robust_aggregate(outcome.manipulated_panel, m, config) for m in METHODS}
-    return {
-        "scenario_id": scenario.scenario_id,
-        "mean_ci": scenario.mean_ci,
-        "bribes_used": len(outcome.bribed_indices),
-        "attack_succeeded": int(outcome.succeeded),
-        **{_column("class", m): _classify(honest, r) for m, r in restored.items()},
-        **{_column("manhattan", m): manhattan_mean(honest, r) for m, r in restored.items()},
-    }
-
-
 def _run_experiment1_chunk(config, max_bribes, saturation, chunk: list[Scenario]) -> list[dict]:
-    # attack the whole chunk first, so that the bribed matrices' CIs come from one fill
-    outcomes = [run_attack(s.panel, max_bribes, saturation) for s in chunk]
-    fill_cis([o.manipulated_panel for o in outcomes])
-    return [_run_experiment1_one(s, o, config) for s, o in zip(chunk, outcomes)]
+    """Per panel shape: one stacked attack, one CI power iteration, one scoring per method."""
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(chunk):
+        groups.setdefault(s.panel.stack.shape, []).append(i)
+    rows: list[dict] = [{}] * len(chunk)
+    for (_, n, _), idx in groups.items():
+        A = np.stack([chunk[i].panel.stack for i in idx])
+        G = _row_gmm(A)
+        _check_rows(G.reshape(-1, n))
+        queue, used, ok, ranking, honest = _attack_stack(A, G, max_bribes, saturation)
+        L = np.log(G)  # the bribed panels' logs, bit for bit as the attack wrote them
+        CI = np.array([panel_cis(chunk[i].panel) for i in idx])
+        p, b = np.nonzero(np.arange(queue.shape[1]) < used[:, None])
+        if p.size:
+            CI[p, queue[p, b]] = _stack_cis(A[p, queue[p, b]])
+        W = {"APDD": _apdd_stack(_metric(config.metric)(ranking[:, None], G), config),
+             "AID": _aid_stack(_centred(CI), config)}
+        W["MX"] = _mx_stack(W["APDD"], W["AID"], config)
+        restored = {m: _check_rows(_wgm_stack(_check_rows(W[m], "expert weights", 1), L))
+                    for m in METHODS}
+        cells = {**{_column("class", m): _classify(honest, r) for m, r in restored.items()},
+                 **{_column("manhattan", m): manhattan_mean(honest, r).tolist()
+                    for m, r in restored.items()}}
+        for j, i in enumerate(idx):
+            rows[i] = {"scenario_id": chunk[i].scenario_id, "mean_ci": chunk[i].mean_ci,
+                       "bribes_used": int(used[j]), "attack_succeeded": int(ok[j]),
+                       **{c: v[j] for c, v in cells.items()}}
+    return rows
 
 
 def _run_experiment2_one(scenario: Scenario, config: RobustConfig) -> dict:
@@ -189,6 +199,7 @@ def experiment1(
 
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
+    _check_saturation(saturation)
     return _map(partial(_run_experiment1_chunk, config, max_bribes, saturation), scenarios, workers)
 
 

@@ -101,30 +101,53 @@ def preferential_distances(
     return _metric(metric)(_weighted_geometric_mean(L, None), G)
 
 
+def _centred(CI: np.ndarray) -> np.ndarray:
+    """Each row of an (S, k) array minus its mean, as np.mean computes it (sum / k)."""
+    D = CI - CI.sum(axis=1, keepdims=True) / CI.shape[1]
+    D -= D.sum(axis=1, keepdims=True) / CI.shape[1]  # kill the last ulp of centering error
+    return D
+
+
 def inconsistency_distances(panel: ExpertPanel) -> np.ndarray:
     """Each expert's CI minus the panel mean; the deviations sum to zero."""
-    ci = np.array(panel_cis(panel))
-    d = ci - ci.mean()
-    d -= d.mean()  # kill the last ulp of centering error
-    return d
+    return _centred(np.array(panel_cis(panel))[None])[0]
 
 
-def _credibility(d: np.ndarray, xp: list, fp: list) -> ExpertWeights:
-    """Map the deviations ``d`` linearly through the anchors (xp, fp), normalised.
+def _credibility(D: np.ndarray, XP: np.ndarray, fp: list) -> np.ndarray:
+    """Map each row of D (S, k) through np.interp on its anchors XP (S, m) onto fp, normalised;
+    anchors less than 1e-12 apart give uniform weights, so batch runs survive symmetric panels.
+    Row by row: a vectorised np.interp formula took 21 us on a batch of one, np.interp 9 us."""
+    f = np.array([np.interp(d, xp, fp) if xp[-1] - xp[0] >= 1e-12 else np.ones(d.size)
+                  for d, xp in zip(D, XP)])
+    return f / f.sum(axis=1, keepdims=True)
 
-    Anchors less than 1e-12 apart leave the map undefined: the weights are then
-    uniform, so batch experiments survive perfectly symmetric panels.
-    """
-    if xp[-1] - xp[0] < 1e-12:
-        return ExpertWeights.uniform(d.size)
-    f = np.interp(d, xp, fp)
-    return ExpertWeights(f / f.sum())
+
+def _apdd_stack(D: np.ndarray, config: RobustConfig) -> np.ndarray:
+    """APDD weights of each row of distances D (S, k); see ``apdd_weights``."""
+    return _credibility(D, np.sort(D, axis=1)[:, [0, -1]], [config.scale2.h, config.scale2.l])
+
+
+def _aid_stack(D: np.ndarray, config: RobustConfig) -> np.ndarray:
+    """AID weights of each row of centred CI deviations D (S, k); see ``aid_weights``."""
+    Ds = np.sort(D, axis=1)
+    lo, hi = Ds[:, :1], Ds[:, -1:]
+    # the middle anchor is the inner deviation nearest zero, the first (lower) of a tie;
+    # with none, the largest deviation, so that every deviation maps to h or l
+    key = np.abs(Ds)
+    key[Ds >= hi] = np.finfo(float).max
+    key[Ds <= lo] = np.inf
+    mid = Ds[np.arange(len(D)), key.argmin(axis=1)][:, None]
+    s = config.scale3
+    return _credibility(D, np.concatenate([lo, mid, hi], axis=1), [s.h, s.m, s.l])
+
+
+def _mx_stack(R1: np.ndarray, R2: np.ndarray, config: RobustConfig) -> np.ndarray:
+    return config.beta * R1 + (1.0 - config.beta) * R2
 
 
 def apdd_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
     """Preferential-distance weights: a decreasing line from (d_min, h) to (d_max, l)."""
-    d = preferential_distances(panel, config.metric)
-    return _credibility(d, [d.min(), d.max()], [config.scale2.h, config.scale2.l])
+    return ExpertWeights(_apdd_stack(preferential_distances(panel, config.metric)[None], config)[0])
 
 
 def aid_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
@@ -139,21 +162,13 @@ def aid_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> Ex
     experts get l.  The rule reads deviations, not positions, so the weights
     do not depend on the order in which experts are listed.
     """
-    d = inconsistency_distances(panel)
-    lo, hi = d.min(), d.max()
-    inner = np.sort(d[(d > lo) & (d < hi)])
-    s = config.scale3
-    if inner.size:
-        mid = inner[np.argmin(np.abs(inner))]  # first of a tie is the lower d
-        return _credibility(d, [lo, mid, hi], [s.h, s.m, s.l])
-    return _credibility(d, [lo, hi], [s.h, s.l])
+    return ExpertWeights(_aid_stack(inconsistency_distances(panel)[None], config)[0])
 
 
 def mx_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
     """Convex blend beta * APDD + (1 - beta) * AID of the two weight vectors."""
-    r1 = apdd_weights(panel, config).r
-    r2 = aid_weights(panel, config).r
-    return ExpertWeights(config.beta * r1 + (1.0 - config.beta) * r2)
+    r1, r2 = apdd_weights(panel, config).r, aid_weights(panel, config).r
+    return ExpertWeights(_mx_stack(r1, r2, config))
 
 
 def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:

@@ -112,6 +112,13 @@ class TestRunAttack:
         assert not outcome.succeeded
         assert len(outcome.bribed_indices) == 1
 
+    @pytest.mark.parametrize("max_bribes", [0, 1, None])
+    @pytest.mark.parametrize("saturation", [1.0, 0.5, float("nan")])
+    def test_rejects_saturation_up_to_one_whatever_the_budget(self, max_bribes, saturation):
+        panel = unanimous_panel([3.0, 2.0, 1.0], k=4)
+        with pytest.raises(DomainError, match="saturation must exceed 1"):
+            run_attack(panel, max_bribes, saturation)
+
     def test_zero_budget_changes_nothing(self):
         panel = unanimous_panel([3.0, 2.0, 1.0], k=4)
         outcome = run_attack(panel, max_bribes=0)

@@ -1,4 +1,5 @@
 import pickle
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -166,6 +167,24 @@ class TestFromStack:
         with pytest.raises(ShapeError, match="at least one expert"):
             ExpertPanel.from_stack(np.ones((0, 3, 3)))
 
+    def test_keeps_the_validated_stack(self):
+        # the matrices are views of the panel's stack, so panel_gmm stacks nothing again
+        rng = np.random.default_rng(7)
+        panel = ExpertPanel.from_stack(np.stack([random_pcm(4, rng).values for _ in range(3)]))
+        assert not panel.stack.flags.writeable
+        assert all(m.values.base is panel.stack for m in panel.matrices)
+        with mock.patch.object(np, "stack", wraps=np.stack) as stacked:
+            panel_gmm(panel)
+        # one np.stack, of the three GMM vectors into the panel's (k, n) matrix
+        assert [np.shape(call.args[0]) for call in stacked.call_args_list] == [(3, 4)]
+
+    def test_a_panel_of_matrices_stacks_them_once(self):
+        rng = np.random.default_rng(11)
+        panel = ExpertPanel(tuple(random_pcm(3, rng) for _ in range(4)))
+        stack = panel.stack
+        assert stack is panel.stack and not stack.flags.writeable
+        assert np.array_equal(stack, [m.values for m in panel.matrices])
+
 
 class TestFromRows:
     def test_wraps_read_only_rows(self):
@@ -256,6 +275,15 @@ class TestPickle:
         gmm_priorities(m)
         copy = pickle.loads(pickle.dumps(m))
         assert not gmm_priorities(copy).weights.flags.writeable
+
+    def test_panel_stack_is_not_pickled_but_rebuilt(self):
+        rng = np.random.default_rng(13)
+        panel = ExpertPanel.from_stack(np.stack([random_pcm(4, rng).values for _ in range(3)]))
+        data = pickle.dumps(panel)
+        assert len(data) < len(pickle.dumps(panel.matrices)) + panel.stack.nbytes
+        copy = pickle.loads(data)
+        assert "stack" not in copy.__dict__
+        assert np.array_equal(copy.stack, panel.stack) and not copy.stack.flags.writeable
 
     def test_panel_memo_comes_back_read_only(self):
         rng = np.random.default_rng(3)

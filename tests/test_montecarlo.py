@@ -2,16 +2,23 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupahp import montecarlo
 from groupahp import (
     DomainError,
     PriorityVector,
+    RobustConfig,
+    Scenario,
     consistent_matrix_from_priorities,
     generate_corpus,
+    manhattan_mean,
     panel_mean_ci,
     perturb,
     random_priority_vector,
+    robust_aggregate,
+    run_attack,
 )
 from groupahp.errors import EmptyReportError
 from groupahp.montecarlo import (
@@ -352,3 +359,73 @@ class TestReportStatistics:
         }
         zero = {r[1]: r[3] for r in summarize(self.EXP2) if r[2] == "kendall_0_freq"}
         assert {m: s["kendall_zero_freq"] for m, s in stats.items()} == zero
+
+
+def one_scenario_at_a_time(scenario, config, max_bribes, saturation) -> dict:
+    """Experiment 1's row for one scenario, from the single-panel API."""
+    outcome = run_attack(scenario.panel, max_bribes, saturation)
+    honest = outcome.honest_ranking
+    restored = {m: robust_aggregate(outcome.manipulated_panel, m, config) for m in METHODS}
+    return {
+        "scenario_id": scenario.scenario_id,
+        "mean_ci": scenario.mean_ci,
+        "bribes_used": len(outcome.bribed_indices),
+        "attack_succeeded": int(outcome.succeeded),
+        **{f"class_{m.lower()}": _classify(honest, r) for m, r in restored.items()},
+        **{f"manhattan_{m.lower()}": manhattan_mean(honest, r) for m, r in restored.items()},
+    }
+
+
+def drawn_scenario(sid, n, k, alpha, seed) -> Scenario:
+    rng = np.random.default_rng(seed)
+    w = PriorityVector.from_raw(rng.dirichlet(np.ones(n)) + 1e-3)
+    panel = perturb(consistent_matrix_from_priorities(w), alpha, rng, "log-uniform", k)
+    return Scenario(sid, w, alpha, panel, panel_mean_ci(panel))
+
+
+scenario_draws = st.lists(
+    st.tuples(
+        st.integers(2, 9),
+        st.integers(1, 24),
+        st.one_of(st.just(1.0), st.floats(1.0, 81.0)),  # alpha 1 ties every expert
+        st.integers(0, 2**32 - 1),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+class TestExperiment1Arrays:
+    """experiment1 attacks and scores a chunk as arrays; each row must be the one the
+    single-panel API gives for its scenario, bit for bit."""
+
+    @given(
+        draws=scenario_draws,
+        shared_k=st.one_of(st.none(), st.integers(1, 24)),
+        budget=st.sampled_from(["none", 0, 1, "k+1"]),
+        saturation=st.floats(2.0, 9.0),
+        metric=st.sampled_from(["manhattan", "euclidean", "chebyshev"]),
+        beta=st.floats(0.0, 1.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_single_panel_api(self, draws, shared_k, budget, saturation,
+                                             metric, beta):
+        # one k for the corpus, as a study draws it, or one per scenario; n always mixes
+        scenarios = [drawn_scenario(sid, n, shared_k or k, alpha, seed)
+                     for sid, (n, k, alpha, seed) in enumerate(draws)]
+        top_k = max(s.panel.k for s in scenarios)
+        max_bribes = {"none": None, "k+1": top_k + 1}.get(budget, budget)
+        config = RobustConfig(beta=beta, metric=metric)
+        rows = experiment1(scenarios, config, max_bribes, saturation)
+        assert rows == [one_scenario_at_a_time(s, config, max_bribes, saturation)
+                        for s in scenarios]
+
+    def test_chunks_of_a_study_corpus_match(self, small_corpus):
+        # 8 scenarios with n 4 and 5 in one chunk
+        expected = [one_scenario_at_a_time(s, RobustConfig(), None, 9.0) for s in small_corpus]
+        assert experiment1(small_corpus) == expected
+
+    @pytest.mark.parametrize("saturation", [1.0, 0.5])
+    def test_rejects_saturation_up_to_one(self, small_corpus, saturation):
+        with pytest.raises(DomainError, match="saturation"):
+            experiment1(small_corpus, max_bribes=0, saturation=saturation)

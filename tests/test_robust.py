@@ -24,7 +24,7 @@ from groupahp import (
     robust_aggregate,
 )
 from groupahp.errors import CredibilityOrderError
-from groupahp.robust import DEFAULT_SCALE3, inconsistency_distances
+from groupahp.robust import DEFAULT_SCALE3, _aid_stack, _apdd_stack, inconsistency_distances
 from tests.conftest import normalized
 from tests.test_core import random_pcm
 
@@ -269,3 +269,63 @@ class TestExpertOrder:
             assert np.max(np.abs(method_weights(shuffled, method).r - r[perm])) <= 1e-12, method
             v = robust_aggregate(panel, method).weights
             assert np.max(np.abs(robust_aggregate(shuffled, method).weights - v)) <= 1e-12, method
+
+
+def interp_weights(d, xp, fp) -> np.ndarray:
+    """The credibility map written with np.interp, one panel at a time."""
+    if xp[-1] - xp[0] < 1e-12:
+        return np.full(d.size, 1.0 / d.size)
+    f = np.interp(d, xp, fp)
+    return f / f.sum()
+
+
+def interp_aid(d, s) -> np.ndarray:
+    lo, hi = d.min(), d.max()
+    inner = np.sort(d[(d > lo) & (d < hi)])
+    if inner.size:
+        return interp_weights(d, [lo, inner[np.argmin(np.abs(inner))], hi], [s.h, s.m, s.l])
+    return interp_weights(d, [lo, hi], [s.h, s.l])
+
+
+scales3 = st.sampled_from([
+    DEFAULT_SCALE3,
+    CredibilityScale3(0.5, 0.3, 0.2),
+    CredibilityScale3(0.4, 0.4, 0.2),  # equal anchors, as equal trust ratios give
+    CredibilityScale3(0.6, 0.2, 0.2),
+])
+
+
+class TestInterpReference:
+    """APDD and AID weights, bit for bit what np.interp on the written-out anchors gives."""
+
+    @given(
+        k=st.integers(1, 24),
+        distinct=st.integers(1, 4),  # 1 or 2 distinct matrices: no inner AID expert
+        metric=st.sampled_from(["manhattan", "euclidean", "chebyshev"]),
+        scale3=scales3,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_weights_of_a_panel(self, k, distinct, metric, scale3, seed):
+        panel = pooled_panel(np.random.default_rng(seed), k, distinct)
+        config = RobustConfig(scale3=scale3, metric=metric)
+        d = preferential_distances(panel, metric)
+        apdd = interp_weights(d, [d.min(), d.max()], [config.scale2.h, config.scale2.l])
+        assert np.array_equal(apdd_weights(panel, config).r, apdd)
+        aid = interp_aid(inconsistency_distances(panel), scale3)
+        assert np.array_equal(aid_weights(panel, config).r, aid)
+
+    @given(
+        rows=st.integers(1, 12).flatmap(lambda k: st.lists(
+            st.lists(st.integers(-4, 4), min_size=k, max_size=k), min_size=1, max_size=6)),
+        scale3=scales3,
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_stacked_rows_with_tied_deviations(self, rows, scale3):
+        # small integers tie often, sit at both ends at once, or leave no inner value
+        D = np.array(rows, dtype=float) / 4
+        config = RobustConfig(scale3=scale3)
+        aid, apdd = _aid_stack(D, config), _apdd_stack(D, config)
+        for d, a, p in zip(D, aid, apdd):
+            assert np.array_equal(a, interp_aid(d, scale3))
+            assert np.array_equal(p, interp_weights(d, [d.min(), d.max()], [5.0, 1.0]))
