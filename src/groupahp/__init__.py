@@ -20,7 +20,6 @@ from .core import (
 )
 from .derive import evm_priorities, evm_stack, gmm_priorities, panel_gmm
 from .errors import (
-    ConvergenceError,
     CredibilityOrderError,
     DomainError,
     EmptyReportError,

@@ -112,13 +112,6 @@ class PriorityVector(_ReadOnlyArrays):
         object.__setattr__(self, "weights", arr)
 
     @classmethod
-    def from_rows(cls, W) -> tuple["PriorityVector", ...]:
-        """Validate a (k, n) array once and wrap each read-only row as a PriorityVector."""
-        arr = _frozen_array(W)
-        _check_rows(arr)
-        return tuple(_unchecked(cls, weights=w) for w in arr)
-
-    @classmethod
     def from_raw(cls, values) -> "PriorityVector":
         """Normalize an arbitrary positive vector into a PriorityVector."""
         arr = np.asarray(values, dtype=float)
@@ -197,6 +190,8 @@ class ExpertWeights(_ReadOnlyArrays):
 
     @classmethod
     def uniform(cls, k: int) -> "ExpertWeights":
+        if k < 1:
+            raise ShapeError("a panel needs at least one expert")
         return cls(np.full(k, 1.0 / k))
 
     @property

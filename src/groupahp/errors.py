@@ -13,10 +13,6 @@ class ShapeError(GroupAHPError, ValueError):
     """Dimensions of the inputs do not line up."""
 
 
-class ConvergenceError(GroupAHPError, RuntimeError):
-    """An iterative solver failed to converge within its iteration budget."""
-
-
 class CredibilityOrderError(DomainError):
     """Credibility anchors came out unordered (h > m > l violated)."""
 

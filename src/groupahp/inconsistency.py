@@ -12,17 +12,18 @@ _TRIAD_BLOCK = 1 << 16
 
 
 def _stack_cis(A: np.ndarray) -> np.ndarray:
-    """The CIs of a non-empty (k, n, n) stack, from one power iteration; see ``saaty_ci``."""
+    """The CIs of a (k, n, n) stack, from one power iteration; see ``saaty_ci``."""
     return np.maximum((evm_stack(A)[1] - A.shape[-1]) / (A.shape[-1] - 1), 0.0)
 
 
-def _memoise_cis(mats: list[PCMatrix]) -> None:
-    """Memoise each matrix's CI, with one power iteration per matrix size."""
-    by_n: dict[int, dict[int, PCMatrix]] = {}
+def _memoise_cis(mats) -> None:
+    """Memoise the CI of each matrix in ``mats`` that lacks one: one power iteration per size."""
+    by_n: dict[int, list[PCMatrix]] = {}
     for m in mats:
-        by_n.setdefault(m.n, {})[id(m)] = m  # a repeated matrix is derived once
+        if "ci" not in m._memo:
+            by_n.setdefault(m.n, []).append(m)
     for group in by_n.values():
-        for m, ci in zip(group.values(), _stack_cis(np.stack([m.values for m in group.values()]))):
+        for m, ci in zip(group, _stack_cis(np.stack([m.values for m in group]))):
             m._memo["ci"] = float(ci)
 
 
@@ -40,13 +41,13 @@ def saaty_ci(C: PCMatrix) -> float:
 
 def panel_cis(panel: ExpertPanel) -> list[float]:
     """Each expert's CI; the ones not yet memoised come from one power iteration."""
-    _memoise_cis([m for m in panel.matrices if "ci" not in m._memo])
+    _memoise_cis(panel.matrices)
     return [saaty_ci(m) for m in panel.matrices]
 
 
 def fill_cis(panels) -> None:
     """Memoise the CI of every matrix in ``panels`` that lacks one, across all of them."""
-    _memoise_cis([m for p in panels for m in p.matrices if "ci" not in m._memo])
+    _memoise_cis(m for p in panels for m in p.matrices)
 
 
 def koczkodaj_k(C: PCMatrix) -> float:

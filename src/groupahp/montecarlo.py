@@ -68,8 +68,8 @@ def perturb(
     factors).  All k matrices come from one draw, which yields the same
     random stream as k draws of one matrix each.
     """
-    if alpha < 1.0:
-        raise DomainError("alpha must be >= 1")
+    if not 1.0 <= alpha < np.inf:  # NaN too
+        raise DomainError("alpha must be finite and >= 1")
     n = C_w.n
     iu = np.triu_indices(n, k=1)
     size = (k, len(iu[0]))

@@ -26,21 +26,21 @@ MethodName = Literal["APDD", "AID", "MX"]
 
 @dataclass(frozen=True)
 class CredibilityScale2:
-    """Anchor weights for the most (h) and least (l) trusted expert, h > l > 0."""
+    """Anchor weights for the most (h) and least (l) trusted expert, finite h > l > 0."""
 
     h: float = 5.0
     l: float = 1.0
 
     def __post_init__(self):
-        if not (self.h > self.l > 0.0):
-            raise DomainError("credibility scale requires h > l > 0")
+        if not (np.inf > self.h > self.l > 0.0):
+            raise DomainError("credibility scale requires finite h > l > 0")
 
 
 @dataclass(frozen=True)
 class CredibilityScale3:
     """Anchor weights (h, m, l) for the most, middle and least consistent expert.
 
-    Ordering h >= m >= l > 0 is required; the strict form is enforced where
+    Finite anchors ordered h >= m >= l > 0 are required; the strict form is enforced where
     the anchors come from a credibility comparison matrix.  Equal anchors
     arise only from equal explicit trust ratios.
     """
@@ -50,8 +50,8 @@ class CredibilityScale3:
     l: float
 
     def __post_init__(self):
-        if not (self.h >= self.m >= self.l > 0.0):
-            raise DomainError("credibility scale requires h >= m >= l > 0")
+        if not (np.inf > self.h >= self.m >= self.l > 0.0):
+            raise DomainError("credibility scale requires finite h >= m >= l > 0")
 
     @classmethod
     def from_ratios(cls, h: float, m: float, l: float) -> "CredibilityScale3":

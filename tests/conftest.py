@@ -8,7 +8,8 @@ from groupahp import bundled_panel
 ACCEPTANCE_REPORT: list[str] = []
 
 # Upper triangle of a valid n = 4 matrix with |lambda_2| / lambda_max = 0.9985,
-# on which the power iteration runs out of its 10,000 steps.
+# on which the power iteration runs out of its steps (more than 10,000 would
+# be needed), so LAPACK finishes it.
 SLOW_EVM_UPPER = [1, 0.001, 1000, 10, 1, 0.001]
 
 

@@ -15,7 +15,8 @@ from groupahp.cli import main
 from tests.conftest import SLOW_EVM_UPPER
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
-# a valid panel whose second expert's CI needs more than the power iteration's budget
+# a valid panel whose second expert's CI needs more than the power iteration's budget,
+# so LAPACK finishes it
 SLOW_EVM_PANEL = json.dumps({"n": 4, "experts": [
     {"matrix": pcm_from_upper_triangle(4, upper).values.tolist()}
     for upper in ([2, 3, 4, 2, 3, 2], SLOW_EVM_UPPER)
@@ -184,13 +185,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("i/o error") and str(out_dir) in err
 
-    @pytest.mark.parametrize("command", [["inspect"], ["aggregate"]])
+    @pytest.mark.parametrize(
+        "command", [["inspect"], ["aggregate"], ["aggregate", "--method", "MX"]]
+    )
     def test_power_iteration_out_of_budget(self, command, tmp_path, capsys):
         path = tmp_path / "panel.json"
         path.write_text(SLOW_EVM_PANEL)
-        assert main([*command, "--input", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert "did not converge" in err and "Traceback" not in err
+        assert main([*command, "--input", str(path)]) == 0
+        slow = pcm_from_upper_triangle(4, SLOW_EVM_UPPER).values
+        ci = (float(np.max(np.linalg.eigvals(slow).real)) - 4) / 3
+        line = next(x for x in capsys.readouterr().out.splitlines() if "e2" in x and "CI" in x)
+        assert f"{ci:.6g}" in line
+
+    def test_experiment_at_alpha_5000(self, tmp_path):
+        # such panels hold matrices that run out of power-iteration steps
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps(
+            {"counts": {"4": 5}, "panel_size": 20, "alpha_start": 5000, "alpha_stop": 5000}
+        ))
+        argv = ["experiment", "--which", "2", "--config", str(cfg), "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
 
 
 class TestMalformedInput:

@@ -2,15 +2,17 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupahp import (
-    ConvergenceError,
     ExpertPanel,
     PCMatrix,
     PriorityVector,
     bribe_matrix,
     consistent_matrix_from_priorities,
     evm_priorities,
+    evm_stack,
     gmm_priorities,
     pcm_from_upper_triangle,
     perturb,
@@ -93,11 +95,28 @@ class TestEVM:
             v, _ = evm_priorities(m)
             assert np.max(np.abs(v.weights - gmm_priorities(m).weights)) <= 1e-10
 
-    def test_raises_when_iteration_budget_exhausted(self):
-        # |lambda_2| / lambda_max = 0.9985: 10,000 steps are not enough
+    def test_finishes_past_the_budget_and_matches_lapack(self):
+        # |lambda_2| / lambda_max = 0.9985: the power iteration runs out of steps
         m = pcm_from_upper_triangle(4, SLOW_EVM_UPPER)
-        with pytest.raises(ConvergenceError, match="did not converge in 10000 steps"):
-            evm_priorities(m)
+        v, lam = evm_priorities(m)
+        vals, vecs = np.linalg.eig(m.values)
+        principal = np.abs(vecs[:, np.argmax(vals.real)].real)
+        assert lam == pytest.approx(float(np.max(vals.real)), rel=1e-12)
+        assert np.allclose(v.weights, principal / principal.sum(), rtol=1e-10, atol=0)
+
+    @given(n=st.integers(2, 30), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_lambda_max_matches_lapack_on_wide_entries(self, n, seed):
+        # log-uniform entries up to 1e6: some matrices converge, some finish on LAPACK
+        m = random_pcm(n, np.random.default_rng(seed), 1e6)
+        v, lam = evm_stack(m.values[None])
+        reference = float(np.max(np.linalg.eigvals(m.values).real))
+        assert (v > 0.0).all()
+        assert abs(lam[0] - reference) <= 1e-7 * reference
+
+    def test_empty_stack_returns_at_once(self):
+        v, lam = evm_stack(np.ones((0, 3, 3)))
+        assert v.shape == (0, 3) and lam.shape == (0,)
 
 
 class TestGMMMemo:

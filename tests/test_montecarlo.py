@@ -89,6 +89,14 @@ class TestGeneration:
         with pytest.raises(DomainError):
             perturb(base, 0.5, rng, "log-uniform", 1)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("dist", ["log-uniform", "uniform"])
+    def test_perturb_rejects_non_finite_alpha(self, dist, alpha):
+        rng = np.random.default_rng(174)
+        base = consistent_matrix_from_priorities(random_priority_vector(3, rng))
+        with pytest.raises(DomainError, match="alpha"):
+            perturb(base, alpha, rng, dist, 1)
+
     def test_perturb_rejects_unknown_distribution(self):
         rng = np.random.default_rng(179)
         base = consistent_matrix_from_priorities(random_priority_vector(3, rng))

@@ -64,6 +64,15 @@ class TestScales:
     def test_equal_anchors_allowed(self):
         CredibilityScale3(0.4, 0.4, 0.2)  # what equal credibility_ratios give
 
+    @pytest.mark.parametrize(
+        "make", [lambda x: CredibilityScale2(x, 1.0), lambda x: CredibilityScale3(x, 1.0, 0.5)],
+        ids=["scale2", "scale3"],
+    )
+    @pytest.mark.parametrize("x", [float("inf"), float("nan")])
+    def test_rejects_non_finite_anchors(self, make, x):
+        with pytest.raises(DomainError, match="finite"):
+            make(x)
+
 
 class TestRobustConfig:
     @pytest.mark.parametrize("beta", [1.5, -0.1, float("nan")])
