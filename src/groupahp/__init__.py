@@ -27,7 +27,7 @@ from .errors import (
     PanelParseError,
     ShapeError,
 )
-from .inconsistency import fill_cis, koczkodaj_k, panel_cis, panel_mean_ci, saaty_ci
+from .inconsistency import koczkodaj_k, panel_cis, panel_mean_ci, saaty_ci
 from .metrics import (
     chebyshev,
     euclidean,

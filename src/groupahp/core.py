@@ -151,9 +151,7 @@ class ExpertPanel(_ReadOnlyArrays):
         """Validate a (k, n, n) stack once and wrap each read-only slice as a PCMatrix."""
         arr = _frozen_array(A)
         _check_stack(arr)
-        panel = cls(tuple(_unchecked(PCMatrix, values=m, _memo={}) for m in arr))
-        panel.__dict__["stack"] = arr
-        return panel
+        return _checked_panel(arr)
 
     @cached_property
     def stack(self) -> np.ndarray:
@@ -170,6 +168,18 @@ class ExpertPanel(_ReadOnlyArrays):
     @property
     def n(self) -> int:
         return self.matrices[0].n
+
+
+def _checked_panel(arr: np.ndarray, cis=None) -> ExpertPanel:
+    """The panel of a read-only (k, n, n) stack that ``_check_stack`` passed, not checked again.
+
+    Each matrix is a view of its slice; with ``cis``, each has its CI memoised.
+    """
+    memos = [{} for _ in arr] if cis is None else [{"ci": ci} for ci in cis]
+    panel = ExpertPanel(tuple(_unchecked(PCMatrix, values=m, _memo=memo)
+                              for m, memo in zip(arr, memos)))
+    panel.__dict__["stack"] = arr
+    return panel
 
 
 @dataclass(frozen=True)

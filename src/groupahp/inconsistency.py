@@ -45,11 +45,6 @@ def panel_cis(panel: ExpertPanel) -> list[float]:
     return [saaty_ci(m) for m in panel.matrices]
 
 
-def fill_cis(panels) -> None:
-    """Memoise the CI of every matrix in ``panels`` that lacks one, across all of them."""
-    _memoise_cis(m for p in panels for m in p.matrices)
-
-
 def koczkodaj_k(C: PCMatrix) -> float:
     """Worst-triad relative deviation from consistency, in [0, 1).
 

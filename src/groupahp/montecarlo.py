@@ -13,16 +13,17 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 import numpy as np
 
 from .aggregate import _wgm_stack, aggregate_panel
 from .attack import _attack_stack, _check_saturation
-from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_rows,
-                   consistent_matrix_from_priorities, resymmetrize)
+from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack,
+                   _checked_panel, consistent_matrix_from_priorities, resymmetrize)
 from .derive import _row_gmm
 from .errors import DomainError, EmptyReportError
-from .inconsistency import _stack_cis, fill_cis, panel_cis, panel_mean_ci
+from .inconsistency import _stack_cis, panel_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
 from .robust import (METHODS, RobustConfig, _aid_stack, _apdd_stack, _centred, _metric,
                      _mx_stack, robust_aggregate)
@@ -52,6 +53,41 @@ def random_priority_vector(n: int, rng: np.random.Generator) -> PriorityVector:
             return PriorityVector(w)
 
 
+def _perturbed_stack(C: np.ndarray, alphas, rng: np.random.Generator, distribution: str,
+                     k: int) -> np.ndarray:
+    """k perturbed copies of each matrix of the (B, n, n) stack C at each alpha.
+
+    Returns one checked, read-only (B * len(alphas) * k, n, n) stack, ordered
+    by matrix, then alpha, then copy.  One uniform draw, with each alpha's
+    bounds broadcast over its copies, takes the random numbers in that order,
+    so the stack is the one B * len(alphas) calls of ``perturb`` would draw.
+    """
+    alphas = [float(a) for a in alphas]
+    if not all(1.0 <= a < np.inf for a in alphas):  # NaN too
+        raise DomainError("alpha must be finite and >= 1")
+    n = C.shape[-1]
+    iu = np.triu_indices(n, k=1)
+    size = (len(C), len(alphas), k, len(iu[0]))
+    if distribution == "log-uniform":
+        eps = np.ones(size)
+        drawn = np.array(alphas) > 1.0  # a level of exactly 1 takes no random numbers
+        # one scalar log per level: an array log may round differently on some CPUs
+        half = np.array([np.log(a) for a in alphas if a > 1.0])[:, None, None]
+        eps[:, drawn] = np.exp(rng.uniform(-half, half, size=(len(C), len(half), *size[2:])))
+    elif distribution == "uniform":
+        a = np.array(alphas)[:, None, None]
+        eps = rng.uniform(1.0 / a, a, size=size)
+    else:
+        raise DomainError(f"unknown epsilon distribution {distribution!r}")
+    S = np.empty((*size[:3], n, n))  # resymmetrize reads only the upper triangles
+    S[..., iu[0], iu[1]] = C[:, None, None, iu[0], iu[1]] * eps
+    del eps  # freed before resymmetrize makes the stack's full-size copy
+    S = resymmetrize(S.reshape(-1, n, n))
+    _check_stack(S)
+    S.setflags(write=False)
+    return S
+
+
 def perturb(
     C_w: PCMatrix,
     alpha: float,
@@ -66,23 +102,10 @@ def perturb(
     ratio scale the geometric mean operates in; a "uniform" one is not.
     Reciprocity is kept exactly (the lower triangle gets the reciprocal
     factors).  All k matrices come from one draw, which yields the same
-    random stream as k draws of one matrix each.
+    random stream as k draws of one matrix each.  This is the kernel
+    ``generate_corpus`` runs once per matrix size, on a batch of one.
     """
-    if not 1.0 <= alpha < np.inf:  # NaN too
-        raise DomainError("alpha must be finite and >= 1")
-    n = C_w.n
-    iu = np.triu_indices(n, k=1)
-    size = (k, len(iu[0]))
-    if distribution == "log-uniform":
-        eps = np.exp(rng.uniform(-np.log(alpha), np.log(alpha), size=size)) \
-            if alpha > 1.0 else np.ones(size)
-    elif distribution == "uniform":
-        eps = rng.uniform(1.0 / alpha, alpha, size=size)
-    else:
-        raise DomainError(f"unknown epsilon distribution {distribution!r}")
-    m = np.empty((k, n, n))  # resymmetrize reads only the upper triangles
-    m[:, iu[0], iu[1]] = C_w.values[iu] * eps
-    return ExpertPanel.from_stack(resymmetrize(m))
+    return _checked_panel(_perturbed_stack(C_w.values[None], [alpha], rng, distribution, k))
 
 
 def generate_corpus(
@@ -95,10 +118,14 @@ def generate_corpus(
     """Deterministically generate the scenario corpus for both experiments.
 
     Base vectors whose top two priorities are closer than 1e-6 are redrawn
-    so every scenario has an unambiguous honest winner and runner-up.
+    so every scenario has an unambiguous honest winner and runner-up.  All
+    bases are drawn first, in increasing n; then each matrix size's panels
+    come from one perturbation draw and one stack check, and their CIs from
+    one power iteration.  Each panel is a read-only view of its size's stack,
+    with its matrices' CIs memoised.
     """
     rng = np.random.default_rng(seed)
-    bases: list[PriorityVector] = []
+    bases: dict[int, list[PriorityVector]] = {}
     for n in sorted(counts):
         for _ in range(counts[n]):
             while True:
@@ -106,18 +133,18 @@ def generate_corpus(
                 top = np.sort(w.weights)[::-1]
                 if top[0] - top[1] >= 1e-6:
                     break
-            bases.append(w)
-    drawn = []
-    for w in bases:
-        C_w = consistent_matrix_from_priorities(w)
-        for alpha in map(float, alphas):
-            drawn.append((w, alpha, perturb(C_w, alpha, rng, epsilon_distribution, panel_size)))
-    # every CI of the corpus from one power iteration per matrix size
-    fill_cis([panel for *_, panel in drawn])
-    return [
-        Scenario(sid, w, alpha, panel, panel_mean_ci(panel))
-        for sid, (w, alpha, panel) in enumerate(drawn)
-    ]
+            bases.setdefault(n, []).append(w)
+    alphas = [float(a) for a in alphas]
+    corpus: list[Scenario] = []
+    for ws in bases.values():
+        C = np.stack([consistent_matrix_from_priorities(w).values for w in ws])
+        S = _perturbed_stack(C, alphas, rng, epsilon_distribution, panel_size)
+        cis = _stack_cis(S).tolist()
+        for p, (w, alpha) in enumerate(product(ws, alphas)):
+            part = slice(p * panel_size, (p + 1) * panel_size)
+            panel = _checked_panel(S[part], cis[part])
+            corpus.append(Scenario(len(corpus), w, alpha, panel, panel_mean_ci(panel)))
+    return corpus
 
 
 def _classify(honest, restored):

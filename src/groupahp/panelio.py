@@ -6,9 +6,10 @@ Panel files are JSON::
 
 Each expert entry's JSON types and shape are checked first (exit 2).  The
 values of all k matrices are then checked as one (k, n, n) stack: positive
-finite entries first, then c_ij * c_ji = 1 within 1e-2, as printed matrices are
-rounded.  Errors name the lowest failing expert and the cell (exit 3).  The
-stack is re-symmetrized from its upper triangles, with the diagonal reset to 1.
+finite entries first, then entries within [1e-100, 1e100] (MAX_JUDGMENT), then
+c_ij * c_ji = 1 within 1e-2, as printed matrices are rounded.  Errors name the
+lowest failing expert and the cell (exit 3).  The stack is re-symmetrized from
+its upper triangles, with the diagonal reset to 1.
 A config's ``credibility_matrix`` is checked and repaired the same way.
 """
 
@@ -30,6 +31,8 @@ from .robust import CredibilityScale2, CredibilityScale3, RobustConfig, credibil
 LOAD_RECIPROCITY_RTOL = 1e-2
 MAX_ALPHA_LEVELS = 1000  # the study runs 40
 MAX_ALTERNATIVES = 100  # the study runs 5 to 7
+# judgments lie in [1 / MAX_JUDGMENT, MAX_JUDGMENT], so a product of three is finite
+MAX_JUDGMENT = 1e100
 # judgment entries a corpus draws, sum(counts[n] * n**2) * alpha levels * panel_size:
 # about 400 MB of float64; the study draws 2,924,000
 MAX_CORPUS_ENTRIES = 50_000_000
@@ -62,12 +65,13 @@ def _judgment_stack(grids: list, names: list[str]) -> np.ndarray:
     A DomainError names the lowest failing grid by ``names[q]`` and the cell.
     """
     A = np.array(grids, dtype=float)
-    bad = ~(np.isfinite(A) & (A > 0.0))
-    if bad.any():
-        q, i, j = np.argwhere(bad)[0]
-        raise DomainError(f"{names[q]}: non-positive entry at row {i + 1}, column {j + 1}")
-    with np.errstate(over="ignore"):  # an overflowing pair gives inf, which fails below
-        prod = A * A.transpose(0, 2, 1)
+    for bad, what in ((~(np.isfinite(A) & (A > 0.0)), "non-positive entry"),
+                      ((A < 1.0 / MAX_JUDGMENT) | (A > MAX_JUDGMENT),
+                       f"entry outside [{1.0 / MAX_JUDGMENT:g}, {MAX_JUDGMENT:g}]")):
+        if bad.any():
+            q, i, j = np.argwhere(bad)[0]
+            raise DomainError(f"{names[q]}: {what} at row {i + 1}, column {j + 1}")
+    prod = A * A.transpose(0, 2, 1)  # at most MAX_JUDGMENT ** 2: no overflow
     dev = np.abs(prod - 1.0).reshape(len(A), -1)
     broken = dev.max(axis=1) > LOAD_RECIPROCITY_RTOL
     if broken.any():

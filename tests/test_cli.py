@@ -261,6 +261,8 @@ class TestMalformedInput:
             ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, "2"], [0.5, 1]]}]}, 2, "bob"),
             ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, True], [1, 1]]}]}, 2, "bob"),
             ({"n": 101, "experts": [{"matrix": []}]}, 3, "'n'"),
+            ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, 1e200], [1e-200, 1]]}]}, 3,
+             "bob': entry outside [1e-100, 1e+100] at row 1, column 2"),
         ],
     )
     def test_panel(self, doc, code, key, tmp_path, capsys):
@@ -328,6 +330,12 @@ for key in ("seed", "panel_size", "max_bribes", "workers", "saturation", "h", "l
 config_texts = st.fixed_dictionaries({}, optional=config_values).map(json.dumps)
 
 
+def three_alt_panel(*upper) -> str:
+    """A one-expert panel file over three alternatives, from its upper triangle."""
+    matrix = pcm_from_upper_triangle(3, upper).values.tolist()
+    return json.dumps({"n": 3, "experts": [{"matrix": matrix}]})
+
+
 def run_quietly(argv) -> tuple[int, str]:
     """main's exit code and stderr, with every warning raised as an error."""
     err = StringIO()
@@ -349,6 +357,8 @@ class TestHostileDocuments:
     @example(text='{"n": 2, "experts": [{"matrix": [[1, 1e300], [1e300, 1]]}]}',
              command="aggregate")
     @example(text=SLOW_EVM_PANEL, command="inspect")
+    @example(text=three_alt_panel(1e308, 1e308, 1e-308), command="inspect")
+    @example(text=three_alt_panel(1e200, 1e200, 1e-200), command="inspect")
     @settings(max_examples=150, deadline=None)
     def test_panel(self, text, command, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "hostile_panel.json"
@@ -357,6 +367,12 @@ class TestHostileDocuments:
         code, err = run_quietly(argv + (["--method", "MX"] if command == "aggregate" else []))
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err and "Warning" not in err
+
+    def test_judgments_at_the_bound(self, tmp_path):
+        path = tmp_path / "panel.json"
+        path.write_text(three_alt_panel(1e100, 1e100, 1e-100))
+        for command in (["inspect"], ["aggregate", "--method", "MX"], ["attack"]):
+            assert run_quietly(command + ["--input", str(path)]) == (0, "")
 
     def test_hundred_alternatives(self, tmp_path):
         rng = np.random.default_rng(100)

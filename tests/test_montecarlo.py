@@ -68,8 +68,10 @@ class TestGeneration:
     def test_perturb_alpha_one_is_identity(self):
         rng = np.random.default_rng(167)
         base = consistent_matrix_from_priorities(random_priority_vector(4, rng))
+        state = rng.bit_generator.state
         m = perturb(base, 1.0, rng, "log-uniform", 1).matrices[0]
         assert np.allclose(m.values, base.values)
+        assert rng.bit_generator.state == state  # a log-uniform level of 1 takes no random numbers
 
     @pytest.mark.parametrize("dist", ["log-uniform", "uniform"])
     @pytest.mark.parametrize("alpha", [1.0, 1.1, 2.4, 5.0])

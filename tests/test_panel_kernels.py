@@ -1,4 +1,5 @@
-"""Properties of the stacked panel kernels: panel_cis, fill_cis, panel_gmm, evm_stack, aggregation."""
+"""Properties of the stacked panel kernels: panel_cis, panel_gmm, evm_stack, aggregation,
+and corpus generation."""
 
 from unittest import mock
 
@@ -16,12 +17,14 @@ from groupahp import (
     bribe_matrix,
     consistent_matrix_from_priorities,
     evm_stack,
-    fill_cis,
+    generate_corpus,
     gmm_priorities,
     panel_cis,
     panel_gmm,
     pcm_from_upper_triangle,
+    perturb,
     preferential_distances,
+    random_priority_vector,
     saaty_ci,
 )
 from groupahp import derive, inconsistency
@@ -96,24 +99,53 @@ def test_partly_memoised_panel_keeps_what_it_has(panel, data):
         assert cis[i] == ci and vectors[i] is v
 
 
-@given(st.lists(panels, min_size=1, max_size=6), st.data())
-@settings(max_examples=40, deadline=None)
-def test_fill_cis_runs_one_power_iteration_per_size(corpus, data):
-    # a panel that repeats another's matrices, and some CIs memoised beforehand
-    corpus.append(ExpertPanel(data.draw(st.permutations(corpus[0].matrices))))
-    everything = [m for p in corpus for m in p.matrices]
-    for i in data.draw(st.sets(st.integers(0, len(everything) - 1))):
-        saaty_ci(everything[i])
-    missing: dict[int, int] = {}
-    for m in everything:
-        if "ci" not in m._memo:
-            missing[m.n] = missing.get(m.n, 0) + 1  # a repeated matrix counts each time
-    with mock.patch.object(inconsistency, "evm_stack", wraps=evm_stack) as power:
-        fill_cis(corpus)
-    stacks = sorted((a.shape[1], len(a)) for a in (call.args[0] for call in power.call_args_list))
-    assert stacks == sorted(missing.items())  # (n, matrices without a CI)
-    for m in everything:
-        assert m._memo["ci"] == saaty_ci(fresh(m))
+def reference_corpus(seed, counts, alphas, k, distribution):
+    """The corpus drawn one panel at a time: bases in increasing n, then one
+    ``perturb`` per (base, alpha) and one ``saaty_ci`` per matrix."""
+    rng = np.random.default_rng(seed)
+    bases = []
+    for n in sorted(counts):
+        for _ in range(counts[n]):
+            while True:
+                w = random_priority_vector(n, rng)
+                top = np.sort(w.weights)[::-1]
+                if top[0] - top[1] >= 1e-6:
+                    break
+            bases.append(w)
+    panels = [(w, alpha, perturb(consistent_matrix_from_priorities(w), alpha, rng, distribution, k))
+              for w in bases for alpha in alphas]
+    cis = [[saaty_ci(fresh(m)) for m in panel.matrices] for *_, panel in panels]
+    return panels, cis, rng
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    counts=st.dictionaries(st.integers(2, 12), st.integers(1, 3), min_size=1, max_size=3),
+    alphas=st.lists(st.floats(1.0, 81.0), max_size=3).flatmap(
+        lambda drawn: st.permutations([1.0, 81.0, *drawn])),
+    k=st.integers(1, 24),
+    distribution=st.sampled_from(["log-uniform", "uniform"]),
+)
+@settings(max_examples=30, deadline=None)
+def test_generate_corpus_matches_per_panel_draws(seed, counts, alphas, k, distribution):
+    real_rng, made = np.random.default_rng, []
+    with mock.patch.object(np.random, "default_rng",
+                           side_effect=lambda s: made.append(real_rng(s)) or made[-1]), \
+            mock.patch.object(inconsistency, "evm_stack", wraps=evm_stack) as power:
+        corpus = generate_corpus(seed, counts, alphas, k, distribution)
+    panels, cis, rng = reference_corpus(seed, counts, alphas, k, distribution)
+    # one power iteration per matrix size, over all of that size's matrices
+    stacks = [call.args[0].shape for call in power.call_args_list]
+    assert stacks == [(counts[n] * len(alphas) * k, n, n) for n in sorted(counts)]
+    assert made[0].bit_generator.state == rng.bit_generator.state
+    assert len(corpus) == len(panels)
+    for sid, (s, (w, alpha, panel), ref_cis) in enumerate(zip(corpus, panels, cis)):
+        assert (s.scenario_id, s.alpha) == (sid, alpha)
+        assert np.array_equal(s.base_vector.weights, w.weights)
+        assert s.panel.stack.tobytes() == panel.stack.tobytes()
+        assert not s.panel.stack.flags.writeable
+        assert [m._memo["ci"] for m in s.panel.matrices] == ref_cis
+        assert s.mean_ci == float(np.mean(ref_cis))
 
 
 @given(

@@ -126,6 +126,10 @@ class TestStackMessages:
              "expert 'c': non-positive entry at row 1, column 3"),
             (set_cell(2, 0, float("inf")), DomainError,
              "expert 'c': non-positive entry at row 3, column 1"),
+            (set_cell(0, 2, 1e101), DomainError,
+             "expert 'c': entry outside [1e-100, 1e+100] at row 1, column 3"),
+            (set_cell(2, 0, 1e-101), DomainError,
+             "expert 'c': entry outside [1e-100, 1e+100] at row 3, column 1"),
             (set_cell(0, 1, 4), DomainError,
              "expert 'c': reciprocity violated at row 1, column 2 (c_ij*c_ji = 2.0000)"),
             (set_cell(2, 1, 0.6), DomainError,
@@ -137,8 +141,8 @@ class TestStackMessages:
             (lambda entry: entry["matrix"], PanelParseError,
              "expert #3: entry must be an object, got [[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]]"),
         ],
-        ids=["negative", "zero", "nan", "infinity", "reciprocity", "reciprocity-lower",
-             "short-row", "string", "bool", "missing-matrix", "non-object"],
+        ids=["negative", "zero", "nan", "infinity", "huge", "tiny", "reciprocity",
+             "reciprocity-lower", "short-row", "string", "bool", "missing-matrix", "non-object"],
     )
     def test_third_of_four_experts_malformed(self, defect, error, message):
         doc = four_expert_doc()
@@ -156,12 +160,18 @@ class TestStackMessages:
             # non-positive entries come before reciprocity
             (set_cell(0, 1, 4), set_cell(2, 2, 0),
              "expert 'd': non-positive entry at row 3, column 3"),
+            # non-positive entries come before out-of-range ones, and those before reciprocity
+            (set_cell(0, 1, 1e101), set_cell(2, 2, 0),
+             "expert 'd': non-positive entry at row 3, column 3"),
+            (set_cell(0, 1, 4), set_cell(1, 0, 1e-120),
+             "expert 'd': entry outside [1e-100, 1e+100] at row 2, column 1"),
             # within a class, the lowest expert comes first
             (set_cell(1, 2, 9), set_cell(0, 1, 4),
              "expert 'b': reciprocity violated at row 2, column 3 (c_ij*c_ji = 4.5000)"),
             (drop_matrix, set_cell(0, 1, "x"), "expert 'b': missing 'matrix' field"),
         ],
-        ids=["shape-before-value", "positivity-before-reciprocity", "lowest-reciprocity",
+        ids=["shape-before-value", "positivity-before-reciprocity", "positivity-before-range",
+             "range-before-reciprocity", "lowest-reciprocity",
              "lowest-type"],
     )
     def test_two_malformed_experts_report_in_documented_order(self, defect_b, defect_d, message):
