@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 from .core import ExpertPanel, PCMatrix, PriorityVector, _check_rows, _unchecked
 
 EVM_TOL = 1e-12  # a matrix has converged once a step moves its vector less than this
 EVM_MAX_ITER = 1_000  # power-iteration steps before LAPACK finishes the matrices still moving
+EVM_BLOCK = 8  # power-iteration steps between two convergence tests
+EVM_SLAB = 4_096  # matrices iterated together: a block keeps EVM_BLOCK + 1 vectors of each
 
 
 def _row_gmm(A: np.ndarray) -> np.ndarray:
@@ -53,36 +57,51 @@ def _panel_gmm_matrix(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
     return panel._memo["gmm"], panel._memo["log_gmm"]
 
 
+def _power_iterate(A: np.ndarray, v: np.ndarray) -> None:
+    """Power iteration on a (k, n, n) stack from the start vectors ``v``, written into ``v``.
+
+    A block of steps does only the product and its normalisation, and keeps each
+    step's vectors.  After the block, each matrix that passed the test at some
+    step keeps that step's vector and leaves the stack.
+    """
+    active = np.arange(len(A))
+    A_act, v_act = A, v
+    for done_steps in range(0, EVM_MAX_ITER, EVM_BLOCK):
+        if not active.size:
+            break
+        H = np.empty((min(EVM_BLOCK, EVM_MAX_ITER - done_steps) + 1, *v_act.shape))
+        H[0] = v_act  # H[s] is the vector after step s of the block
+        for s in range(1, len(H)):
+            av = (A_act @ H[s - 1][..., None])[..., 0]
+            H[s] = av / av.sum(axis=1, keepdims=True)
+        # the max norm column by column: numpy reduces a short last axis slowly
+        passed = reduce(np.maximum, np.moveaxis(abs(H[1:] - H[:-1]), -1, 0)) < EVM_TOL
+        stopped = passed.any(axis=0)  # NaN never passes
+        v[active[stopped]] = H[passed[:, stopped].argmax(axis=0) + 1, stopped]
+        moving = ~stopped
+        active, A_act, v_act = active[moving], A_act[moving], H[-1, moving]
+    if active.size:
+        vals, vecs = np.linalg.eig(A_act)
+        v[active] = vecs[np.arange(len(active)), :, vals.real.argmax(axis=1)].real
+
+
 def evm_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalue method via power iteration over a (k, n, n) stack of matrices.
 
     Returns the (k, n) normalized principal eigenvectors and the k eigenvalues
-    lambda_max.  Iteration starts from the row geometric means, and each matrix
-    stops on its own once successive normalized vectors differ by less than
-    ``EVM_TOL`` in the max norm, so its result does not depend on the rest of the
-    stack.  A positive matrix has a unique positive dominant eigenpair
-    (Perron-Frobenius).  A matrix still moving after ``EVM_MAX_ITER`` steps
-    (|lambda_2| / lambda_max near 1) takes the eigenvector of its largest real
-    eigenvalue from LAPACK instead.
+    lambda_max.  Iteration starts from the row geometric means.  Each matrix
+    keeps the vector of the first step that moves it by less than ``EVM_TOL``
+    in the max norm, so its result does not depend on the rest of the stack,
+    although the test runs once per ``EVM_BLOCK`` steps.  A positive matrix has
+    a unique positive dominant eigenpair (Perron-Frobenius).  A matrix that no
+    step of the first ``EVM_MAX_ITER`` passes (|lambda_2| / lambda_max near 1)
+    takes the eigenvector of its largest real eigenvalue from LAPACK instead.
+    The stack is iterated ``EVM_SLAB`` matrices at a time, which bounds the
+    memory of a block's vectors.
     """
     v = _row_gmm(A)
-    active = np.arange(len(A))
-    A_act, v_act = A, v
-    for _ in range(EVM_MAX_ITER):
-        if not active.size:
-            break
-        av = (A_act @ v_act[..., None])[..., 0]
-        v_next = av / av.sum(axis=1, keepdims=True)
-        moving = ~(abs(v_next - v_act).max(axis=1) < EVM_TOL)  # NaN keeps moving
-        if moving.all():
-            v_act = v_next
-            continue
-        # some matrix has converged: store every vector, then drop the converged
-        v[active] = v_next
-        active, A_act, v_act = active[moving], A_act[moving], v_next[moving]
-    if active.size:
-        vals, vecs = np.linalg.eig(A_act)
-        v[active] = vecs[np.arange(len(active)), :, vals.real.argmax(axis=1)].real
+    for lo in range(0, len(A), EVM_SLAB):
+        _power_iterate(A[lo:lo + EVM_SLAB], v[lo:lo + EVM_SLAB])
     lam = np.mean((A @ v[..., None])[..., 0] / v, axis=1)
     return v / v.sum(axis=1, keepdims=True), lam
 

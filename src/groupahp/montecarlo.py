@@ -31,7 +31,7 @@ from .robust import (METHODS, RobustConfig, _aid_stack, _apdd_stack, _centred, _
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
 CI_THRESHOLD = 0.1  # the low-inconsistency region the headline statistics cover
-CHUNK = 32  # scenarios per chunk: one pool task, and one stacked attack in experiment 1
+CHUNK = 32  # scenarios per pool task
 
 
 @dataclass(frozen=True)
@@ -102,8 +102,9 @@ def perturb(
     ratio scale the geometric mean operates in; a "uniform" one is not.
     Reciprocity is kept exactly (the lower triangle gets the reciprocal
     factors).  All k matrices come from one draw, which yields the same
-    random stream as k draws of one matrix each.  This is the kernel
-    ``generate_corpus`` runs once per matrix size, on a batch of one.
+    random stream as k draws of one matrix each.  This is the kernel that
+    ``generate_corpus`` runs once per matrix size on all of that size's base
+    matrices and alpha levels, here on one matrix at one level.
     """
     return _checked_panel(_perturbed_stack(C_w.values[None], [alpha], rng, distribution, k))
 
@@ -158,19 +159,19 @@ def _column(metric: str, method: str) -> str:
     return f"{metric}_{method.lower()}"
 
 
-def _run_experiment1_chunk(config, max_bribes, saturation, chunk: list[Scenario]) -> list[dict]:
+def _run_experiment1_batch(config, max_bribes, saturation, batch: list[Scenario]) -> list[dict]:
     """Per panel shape: one stacked attack, one CI power iteration, one scoring per method."""
     groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(chunk):
+    for i, s in enumerate(batch):
         groups.setdefault(s.panel.stack.shape, []).append(i)
-    rows: list[dict] = [{}] * len(chunk)
+    rows: list[dict] = [{}] * len(batch)
     for (_, n, _), idx in groups.items():
-        A = np.stack([chunk[i].panel.stack for i in idx])
+        A = np.stack([batch[i].panel.stack for i in idx])
         G = _row_gmm(A)
         _check_rows(G.reshape(-1, n))
         queue, used, ok, ranking, honest = _attack_stack(A, G, max_bribes, saturation)
         L = np.log(G)  # the bribed panels' logs, bit for bit as the attack wrote them
-        CI = np.array([panel_cis(chunk[i].panel) for i in idx])
+        CI = np.array([panel_cis(batch[i].panel) for i in idx])
         p, b = np.nonzero(np.arange(queue.shape[1]) < used[:, None])
         if p.size:
             CI[p, queue[p, b]] = _stack_cis(A[p, queue[p, b]])
@@ -183,7 +184,7 @@ def _run_experiment1_chunk(config, max_bribes, saturation, chunk: list[Scenario]
                  **{_column("manhattan", m): manhattan_mean(honest, r).tolist()
                     for m, r in restored.items()}}
         for j, i in enumerate(idx):
-            rows[i] = {"scenario_id": chunk[i].scenario_id, "mean_ci": chunk[i].mean_ci,
+            rows[i] = {"scenario_id": batch[i].scenario_id, "mean_ci": batch[i].mean_ci,
                        "bribes_used": int(used[j]), "attack_succeeded": int(ok[j]),
                        **{c: v[j] for c, v in cells.items()}}
     return rows
@@ -200,17 +201,18 @@ def _run_experiment2_one(scenario: Scenario, config: RobustConfig) -> dict:
     }
 
 
-def _run_experiment2_chunk(config, chunk: list[Scenario]) -> list[dict]:
-    return [_run_experiment2_one(s, config) for s in chunk]
+def _run_experiment2_batch(config, batch: list[Scenario]) -> list[dict]:
+    return [_run_experiment2_one(s, config) for s in batch]
 
 
 def _map(fn, items, workers: int):
-    """Concatenated ``fn(chunk)`` over the CHUNK-sized slices of ``items``, in order."""
+    """``fn(items)`` in this process, or in a pool the concatenated ``fn(chunk)`` over the
+    CHUNK-sized slices of ``items``, in order."""
     chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
     # no more processes than chunks or CPUs: a fork pool starts them all at once
     workers = min(workers, len(chunks), os.cpu_count() or 1)
     if workers <= 1:
-        return [row for chunk in chunks for row in fn(chunk)]
+        return fn(items)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return [row for rows in pool.map(fn, chunks, chunksize=1) for row in rows]
 
@@ -227,7 +229,7 @@ def experiment1(
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
     _check_saturation(saturation)
-    return _map(partial(_run_experiment1_chunk, config, max_bribes, saturation), scenarios, workers)
+    return _map(partial(_run_experiment1_batch, config, max_bribes, saturation), scenarios, workers)
 
 
 def experiment2(
@@ -239,7 +241,7 @@ def experiment2(
 
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
-    return _map(partial(_run_experiment2_chunk, config), scenarios, workers)
+    return _map(partial(_run_experiment2_batch, config), scenarios, workers)
 
 
 def _bucket(ci: float) -> float:

@@ -1,11 +1,12 @@
 from concurrent.futures import ProcessPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupahp import montecarlo
+from groupahp import inconsistency, montecarlo
 from groupahp import (
     DomainError,
     PriorityVector,
@@ -175,7 +176,7 @@ class TestPoolSize:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(FakePool, "sizes", [])
-        abs_chunk = lambda chunk: [abs(x) for x in chunk]  # _map hands over one chunk at a time
+        abs_chunk = lambda chunk: [abs(x) for x in chunk]  # one pool chunk, or all items
         assert montecarlo._map(abs_chunk, range(-items, 0), workers) == list(range(items, 0, -1))
         assert FakePool.sizes == ([] if size is None else [size])
 
@@ -207,9 +208,14 @@ def exp2(small_corpus):
     return experiment2(small_corpus)
 
 
+def two_chunk_corpus():
+    # 40 scenarios, 20 of each matrix size: two pool chunks, the first holding both sizes
+    return generate_corpus(321, {4: 10, 5: 10}, SMALL_ALPHAS, 4, "log-uniform")
+
+
 def assert_pool_of_two_matches_serial(experiment, monkeypatch):
-    # 40 scenarios are two chunks, so two workers really start
-    corpus = generate_corpus(321, {4: 10, 5: 10}, SMALL_ALPHAS, 4, "log-uniform")
+    # two chunks, so two workers really start
+    corpus = two_chunk_corpus()
     sizes = []
 
     def recording_pool(max_workers):
@@ -246,6 +252,16 @@ class TestExperiments:
 
     def test_experiment1_pool_of_two_matches_serial(self, monkeypatch):
         assert_pool_of_two_matches_serial(experiment1, monkeypatch)
+
+    def test_serial_experiment1_is_one_batch_per_matrix_size(self):
+        corpus = two_chunk_corpus()
+        with mock.patch.object(montecarlo, "_attack_stack", wraps=montecarlo._attack_stack) as attack, \
+                mock.patch.object(inconsistency, "evm_stack", wraps=inconsistency.evm_stack) as power:
+            experiment1(corpus)
+        # one stacked attack over each size's 20 panels, and one power iteration over
+        # each size's bribed matrices (the corpus's own CIs are memoised)
+        assert [c.args[0].shape for c in attack.call_args_list] == [(20, 4, 4, 4), (20, 4, 5, 5)]
+        assert [c.args[0].shape[1:] for c in power.call_args_list] == [(4, 4), (5, 5)]
 
     def test_summary_rows_sorted_and_typed(self, exp1):
         rows = summarize(exp1)
@@ -431,7 +447,7 @@ class TestExperiment1Arrays:
                         for s in scenarios]
 
     def test_chunks_of_a_study_corpus_match(self, small_corpus):
-        # 8 scenarios with n 4 and 5 in one chunk
+        # 8 scenarios with n 4 and 5 in one batch
         expected = [one_scenario_at_a_time(s, RobustConfig(), None, 9.0) for s in small_corpus]
         assert experiment1(small_corpus) == expected
 

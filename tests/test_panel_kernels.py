@@ -187,6 +187,69 @@ def test_each_matrix_stops_on_its_own_test():
         assert np.array_equal(v[i], alone_v[0]) and lam[i] == alone_lam[0]
 
 
+def per_step_evm(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The power iteration with a test after every step, written out: each matrix stops
+    at its first passing step, and LAPACK takes the ones no step of the first
+    ``EVM_MAX_ITER`` passes.  Also returns each matrix's stopping step (0 for LAPACK)."""
+    v = derive._row_gmm(A)
+    steps = np.zeros(len(A), int)
+    active = np.arange(len(A))
+    A_act, v_act = A, v
+    for step in range(1, derive.EVM_MAX_ITER + 1):
+        if not active.size:
+            break
+        av = (A_act @ v_act[..., None])[..., 0]
+        v_next = av / av.sum(axis=1, keepdims=True)
+        moving = ~(abs(v_next - v_act).max(axis=1) < derive.EVM_TOL)
+        v[active] = v_next
+        steps[active[~moving]] = step
+        active, A_act, v_act = active[moving], A_act[moving], v_next[moving]
+    if active.size:
+        vals, vecs = np.linalg.eig(A_act)
+        v[active] = vecs[np.arange(len(active)), :, vals.real.argmax(axis=1)].real
+    lam = np.mean((A @ v[..., None])[..., 0] / v, axis=1)
+    return v / v.sum(axis=1, keepdims=True), lam, steps
+
+
+def draw_evm_stack(n: int, k: int, alpha: float, seed: int) -> np.ndarray:
+    """k matrices over n alternatives: perturbed, consistent (they stop at step 1) or,
+    for n = 4, the slow matrix that only LAPACK finishes."""
+    rng = np.random.default_rng(seed)
+    kinds = rng.choice(["perturbed", "consistent", "slow" if n == 4 else "perturbed"], size=k)
+    mats = []
+    for kind in kinds:
+        if kind == "consistent":
+            w = rng.dirichlet(np.ones(n)) + 1e-6
+            mats.append(consistent_matrix_from_priorities(PriorityVector(w / w.sum())))
+        elif kind == "slow":
+            mats.append(pcm_from_upper_triangle(4, SLOW_EVM_UPPER))
+        else:
+            mats.append(random_pcm(n, rng, alpha))
+    return np.stack([m.values for m in mats])
+
+
+@given(
+    A=st.builds(draw_evm_stack, n=st.integers(2, 30), k=st.integers(1, 40),
+                alpha=st.floats(1.0, 81.0), seed=st.integers(0, 2**32 - 1)),
+    budget=st.one_of(st.just(derive.EVM_MAX_ITER), st.integers(1, 60)),
+)
+@settings(max_examples=60, deadline=None)
+def test_evm_stack_matches_the_per_step_loop(A, budget):
+    # a small budget sends perturbed matrices to LAPACK and clips the last block anywhere
+    with mock.patch.object(derive, "EVM_MAX_ITER", budget):
+        v, lam = evm_stack(A)
+        ref_v, ref_lam, _ = per_step_evm(A)
+    assert v.tobytes() == ref_v.tobytes() and lam.tobytes() == ref_lam.tobytes()
+
+
+def test_matrices_stopping_at_every_offset_of_a_block():
+    A = draw_evm_stack(5, 40, 81.0, 31)
+    v, lam = evm_stack(A)
+    ref_v, ref_lam, steps = per_step_evm(A)
+    assert {s % derive.EVM_BLOCK for s in steps} == set(range(derive.EVM_BLOCK))
+    assert v.tobytes() == ref_v.tobytes() and lam.tobytes() == ref_lam.tobytes()
+
+
 def reference_aip(vectors, w) -> np.ndarray:
     """The weighted geometric mean written out, one log vector per expert."""
     combined = np.exp(np.tensordot(w, np.stack([np.log(v.weights) for v in vectors]), axes=1))
