@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregate import _wgm_stack
 from .core import ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack
-from .derive import _panel_gmm_matrix, _row_gmm
+from .derive import _row_gmm
 from .errors import DomainError, ShapeError
 
 
@@ -52,13 +52,14 @@ def bribe_matrix(C: PCMatrix, promoted: int, demoted: int, saturation: float = 9
     return PCMatrix(m[0])
 
 
-def _attack_stack(A, G, max_bribes: int | None, saturation: float):
-    """Attack S panels with (S, k, n, n) matrices A and GMM vectors G, rewritten in place.
+def _attack_stack(A, max_bribes: int | None, saturation: float):
+    """Attack S panels with (S, k, n, n) matrices A, rewritten in place.
 
     Support is ranked once, as nobody is bribed twice; step b bribes the b-th queued
     expert of every panel not yet flipped.  Returns the (S, budget) queues, bribes used,
-    success flags, and the manipulated and honest aggregates."""
-    S, k = G.shape[:2]
+    success flags, manipulated and honest aggregates, and final GMM vectors and logs."""
+    S, k, n = A.shape[:3]
+    G = _check_rows(_row_gmm(A).reshape(S * k, n)).reshape(S, k, n)
     L, uniform = np.log(G), np.full((S, k), 1.0 / k)
     honest = _check_rows(_wgm_stack(uniform, L))
     winner, runner_up = np.argsort(-honest, axis=1, kind="stable")[:, :2].T
@@ -78,17 +79,17 @@ def _attack_stack(A, G, max_bribes: int | None, saturation: float):
         r = _check_rows(_wgm_stack(uniform[s], L[s]))
         # argmax takes the first of a tie, as the stable ranking does
         ranking[s], used[s], succeeded[s] = r, b + 1, r.argmax(axis=1) == runner_up[s]
-    return queue, used, succeeded, ranking, honest
+    return queue, used, succeeded, ranking, honest, G, L
 
 
 def run_attack(
     panel: ExpertPanel, max_bribes: int | None = None, saturation: float = 9.0
 ) -> AttackOutcome:
     """Bribe experts one by one until the honest runner-up tops the ranking:
-    ``_attack_stack`` on a batch of one, read from the panel's memoised GMM matrix."""
+    ``_attack_stack`` on a batch of one."""
     _check_saturation(saturation)
-    A, G = panel.stack[None].copy(), _panel_gmm_matrix(panel)[0][None].copy()
-    queue, used, ok, ranking, honest = _attack_stack(A, G, max_bribes, saturation)
+    A = panel.stack[None].copy()
+    queue, used, ok, ranking, honest, _, _ = _attack_stack(A, max_bribes, saturation)
     bribed = tuple(queue[0, :used[0]].tolist())
     manipulated = ExpertPanel.from_stack(A[0]) if bribed else panel
     return AttackOutcome(bribed, manipulated, bool(ok[0]), PriorityVector(ranking[0]),

@@ -126,9 +126,7 @@ def _prepare_run(args) -> tuple[RunConfig, Path, list[Scenario]]:
 def cmd_experiment(args) -> int:
     config, out_dir, scenarios = _prepare_run(args)
     if args.which == 1:
-        records = experiment1(
-            scenarios, config.robust, config.max_bribes, config.saturation, config.workers
-        )
+        records = experiment1(scenarios, config.robust, config.max_bribes, config.saturation)
     else:
         records = experiment2(scenarios, config.robust, config.workers)
     # load_config rejects an empty corpus, so there is a first row

@@ -17,13 +17,10 @@ def _stack_cis(A: np.ndarray) -> np.ndarray:
 
 
 def _memoise_cis(mats) -> None:
-    """Memoise the CI of each matrix in ``mats`` that lacks one: one power iteration per size."""
-    by_n: dict[int, list[PCMatrix]] = {}
-    for m in mats:
-        if "ci" not in m._memo:
-            by_n.setdefault(m.n, []).append(m)
-    for group in by_n.values():
-        for m, ci in zip(group, _stack_cis(np.stack([m.values for m in group]))):
+    """Memoise the CIs that the same-sized matrices ``mats`` lack, from one power iteration."""
+    missing = [m for m in mats if "ci" not in m._memo]
+    if missing:
+        for m, ci in zip(missing, _stack_cis(np.stack([m.values for m in missing]))):
             m._memo["ci"] = float(ci)
 
 

@@ -21,7 +21,6 @@ from .aggregate import _wgm_stack, aggregate_panel
 from .attack import _attack_stack, _check_saturation
 from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack,
                    _checked_panel, consistent_matrix_from_priorities, resymmetrize)
-from .derive import _row_gmm
 from .errors import DomainError, EmptyReportError
 from .inconsistency import _stack_cis, panel_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
@@ -159,19 +158,48 @@ def _column(metric: str, method: str) -> str:
     return f"{metric}_{method.lower()}"
 
 
-def _run_experiment1_batch(config, max_bribes, saturation, batch: list[Scenario]) -> list[dict]:
-    """Per panel shape: one stacked attack, one CI power iteration, one scoring per method."""
+def _run_experiment2_one(scenario: Scenario, config: RobustConfig) -> dict:
+    honest = aggregate_panel(scenario.panel)
+    alt = {m: robust_aggregate(scenario.panel, m, config) for m in METHODS}
+    return {
+        "scenario_id": scenario.scenario_id,
+        "mean_ci": scenario.mean_ci,
+        **{_column("manhattan", m): manhattan_mean(honest, a) for m, a in alt.items()},
+        **{_column("kendall", m): kendall_tau_distance(honest, a) for m, a in alt.items()},
+    }
+
+
+def _map(fn, items, workers: int):
+    """``[fn(x) for x in items]``, in this process or in a pool that takes CHUNK items a task."""
+    # no more processes than tasks or CPUs: a fork pool starts them all at once
+    workers = min(workers, (len(items) + CHUNK - 1) // CHUNK, os.cpu_count() or 1)
+    if workers <= 1:
+        return [fn(x) for x in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items, chunksize=CHUNK))
+
+
+def experiment1(
+    scenarios: list[Scenario],
+    config: RobustConfig = RobustConfig(),
+    max_bribes: int | None = None,
+    saturation: float = 9.0,
+) -> list[dict]:
+    """Attack every scenario, then score how well each scheme recovers.
+
+    Per panel shape: one stacked attack, one CI power iteration of the bribed
+    matrices, and one scoring per method.  Returns one flat row per scenario,
+    keyed by the records.csv columns.
+    """
+    _check_saturation(saturation)
     groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(batch):
+    for i, s in enumerate(scenarios):
         groups.setdefault(s.panel.stack.shape, []).append(i)
-    rows: list[dict] = [{}] * len(batch)
-    for (_, n, _), idx in groups.items():
-        A = np.stack([batch[i].panel.stack for i in idx])
-        G = _row_gmm(A)
-        _check_rows(G.reshape(-1, n))
-        queue, used, ok, ranking, honest = _attack_stack(A, G, max_bribes, saturation)
-        L = np.log(G)  # the bribed panels' logs, bit for bit as the attack wrote them
-        CI = np.array([panel_cis(batch[i].panel) for i in idx])
+    rows: list[dict] = [{}] * len(scenarios)
+    for idx in groups.values():
+        A = np.stack([scenarios[i].panel.stack for i in idx])
+        queue, used, ok, ranking, honest, G, L = _attack_stack(A, max_bribes, saturation)
+        CI = np.array([panel_cis(scenarios[i].panel) for i in idx])
         p, b = np.nonzero(np.arange(queue.shape[1]) < used[:, None])
         if p.size:
             CI[p, queue[p, b]] = _stack_cis(A[p, queue[p, b]])
@@ -184,52 +212,10 @@ def _run_experiment1_batch(config, max_bribes, saturation, batch: list[Scenario]
                  **{_column("manhattan", m): manhattan_mean(honest, r).tolist()
                     for m, r in restored.items()}}
         for j, i in enumerate(idx):
-            rows[i] = {"scenario_id": batch[i].scenario_id, "mean_ci": batch[i].mean_ci,
+            rows[i] = {"scenario_id": scenarios[i].scenario_id, "mean_ci": scenarios[i].mean_ci,
                        "bribes_used": int(used[j]), "attack_succeeded": int(ok[j]),
                        **{c: v[j] for c, v in cells.items()}}
     return rows
-
-
-def _run_experiment2_one(scenario: Scenario, config: RobustConfig) -> dict:
-    honest = aggregate_panel(scenario.panel)
-    alt = {m: robust_aggregate(scenario.panel, m, config) for m in METHODS}
-    return {
-        "scenario_id": scenario.scenario_id,
-        "mean_ci": scenario.mean_ci,
-        **{_column("manhattan", m): manhattan_mean(honest, a) for m, a in alt.items()},
-        **{_column("kendall", m): kendall_tau_distance(honest, a) for m, a in alt.items()},
-    }
-
-
-def _run_experiment2_batch(config, batch: list[Scenario]) -> list[dict]:
-    return [_run_experiment2_one(s, config) for s in batch]
-
-
-def _map(fn, items, workers: int):
-    """``fn(items)`` in this process, or in a pool the concatenated ``fn(chunk)`` over the
-    CHUNK-sized slices of ``items``, in order."""
-    chunks = [items[i:i + CHUNK] for i in range(0, len(items), CHUNK)]
-    # no more processes than chunks or CPUs: a fork pool starts them all at once
-    workers = min(workers, len(chunks), os.cpu_count() or 1)
-    if workers <= 1:
-        return fn(items)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return [row for rows in pool.map(fn, chunks, chunksize=1) for row in rows]
-
-
-def experiment1(
-    scenarios: list[Scenario],
-    config: RobustConfig = RobustConfig(),
-    max_bribes: int | None = None,
-    saturation: float = 9.0,
-    workers: int = 1,
-) -> list[dict]:
-    """Attack every scenario, then score how well each scheme recovers.
-
-    Returns one flat row per scenario, keyed by the records.csv columns.
-    """
-    _check_saturation(saturation)
-    return _map(partial(_run_experiment1_batch, config, max_bribes, saturation), scenarios, workers)
 
 
 def experiment2(
@@ -241,7 +227,7 @@ def experiment2(
 
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
-    return _map(partial(_run_experiment2_batch, config), scenarios, workers)
+    return _map(partial(_run_experiment2_one, config=config), scenarios, workers)
 
 
 def _bucket(ci: float) -> float:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ExpertPanel, PCMatrix, resymmetrize
-from .errors import DomainError, PanelParseError
+from .errors import DomainError, PanelParseError, ShapeError
 from .montecarlo import EPSILON_DISTRIBUTIONS
 from .robust import CredibilityScale2, CredibilityScale3, RobustConfig, credibility_from_matrix
 
@@ -112,7 +112,10 @@ def load_panel(path: str | Path) -> tuple[ExpertPanel, list[str]]:
 
 def panel_document(panel: ExpertPanel, ids: list[str] | None = None) -> dict:
     """The JSON document of a panel file; experts are e1, e2, ... without ``ids``."""
-    ids = ids or [f"e{q + 1}" for q in range(panel.k)]
+    if ids is None:
+        ids = [f"e{q + 1}" for q in range(panel.k)]
+    elif len(ids) != panel.k:
+        raise ShapeError(f"{len(ids)} expert ids for a panel of {panel.k} experts")
     return {
         "n": panel.n,
         "experts": [
@@ -203,11 +206,13 @@ def _counts(raw) -> dict[int, int]:
         raise PanelParseError(
             f"config key 'counts' must map alternative counts to integers, got {raw!r}"
         )
-    # a key too long to be in range never reaches int(), which refuses 4,300+ digits
-    if any(len(n) > len(str(MAX_ALTERNATIVES)) or not 2 <= int(n) <= MAX_ALTERNATIVES or c < 0
-           for n, c in raw.items()):
+    # a key too long to be in range never reaches int(), which refuses 4,300+ digits;
+    # "05" or a full-width "５" would merge into another key or hide it
+    if any(len(n) > len(str(MAX_ALTERNATIVES)) or n != str(int(n))
+           or not 2 <= int(n) <= MAX_ALTERNATIVES or c < 0 for n, c in raw.items()):
         raise DomainError(
-            f"config key 'counts' needs 2 <= n <= {MAX_ALTERNATIVES} and counts >= 0, got {raw!r}"
+            f"config key 'counts' needs plain decimal keys 2 <= n <= {MAX_ALTERNATIVES} "
+            f"and counts >= 0, got {raw!r}"
         )
     counts = {int(n): c for n, c in raw.items()}
     if not any(counts.values()):

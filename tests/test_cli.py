@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupahp import pcm_from_upper_triangle
+from groupahp import montecarlo, pcm_from_upper_triangle
 from groupahp.cli import main
 from tests.conftest import SLOW_EVM_UPPER
 
@@ -21,6 +21,10 @@ SLOW_EVM_PANEL = json.dumps({"n": 4, "experts": [
     {"matrix": pcm_from_upper_triangle(4, upper).values.tolist()}
     for upper in ([2, 3, 4, 2, 3, 2], SLOW_EVM_UPPER)
 ]})
+
+
+def pool_must_not_start(*args, **kwargs):
+    raise AssertionError("a process pool was started")
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +140,23 @@ class TestExperiment:
         assert "--seed" in capsys.readouterr().err
 
 
+    def test_experiment1_runs_in_this_process_whatever_the_workers(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # 40 scenarios on 2 CPUs: enough for a pool of two, were experiment 1 to start one
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({"counts": {"4": 10, "5": 10}, "alpha_stop": 1.2,
+                                   "panel_size": 4}))
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        out_dir = tmp_path / "o"
+        outputs = []
+        for workers in ("1", "2"):
+            assert main(["experiment", "--which", "1", "--config", str(cfg),
+                         "--workers", workers, "--out", str(out_dir)]) == 0
+            outputs.append([(out_dir / f).read_bytes() for f in ("records.csv", "summary.csv")]
+                           + [capsys.readouterr().out])
+            monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool_must_not_start)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("workers", ["0", "-1"])
     def test_workers_below_one_are_rejected(self, workers, small_config, tmp_path, capsys):
         out_dir = tmp_path / "o"
@@ -235,6 +256,9 @@ class TestMalformedInput:
              "credibility_matrix"),
             ({"counts": {"101": 1}}, 3, "counts"),
             ({"counts": {"7" * 5000: 1}}, 3, "counts"),
+            ({"counts": {"5": 3, "05": 4}}, 3, "counts"),  # would merge into {5: 4}
+            ({"counts": {"05": 4}}, 3, "counts"),
+            ({"counts": {"\uff15": 3}}, 3, "counts"),  # full-width 5 passes isdecimal()
             ({"alpha_stop": 1e308, "alpha_step": 1e-308}, 3, "alpha_step"),
             ({"alpha_step": 1e-300}, 3, "alpha_step"),
             ({"alpha_start": 1e308, "alpha_stop": 1, "alpha_step": 1e-308}, 3, "alpha_stop"),

@@ -176,8 +176,7 @@ class TestPoolSize:
         monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(FakePool, "sizes", [])
-        abs_chunk = lambda chunk: [abs(x) for x in chunk]  # one pool chunk, or all items
-        assert montecarlo._map(abs_chunk, range(-items, 0), workers) == list(range(items, 0, -1))
+        assert montecarlo._map(abs, range(-items, 0), workers) == list(range(items, 0, -1))
         assert FakePool.sizes == ([] if size is None else [size])
 
 
@@ -213,21 +212,6 @@ def two_chunk_corpus():
     return generate_corpus(321, {4: 10, 5: 10}, SMALL_ALPHAS, 4, "log-uniform")
 
 
-def assert_pool_of_two_matches_serial(experiment, monkeypatch):
-    # two chunks, so two workers really start
-    corpus = two_chunk_corpus()
-    sizes = []
-
-    def recording_pool(max_workers):
-        sizes.append(max_workers)
-        return ProcessPoolExecutor(max_workers=max_workers)
-
-    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", recording_pool)
-    monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-    assert experiment(corpus, workers=2) == experiment(corpus)
-    assert sizes == [2]
-
-
 class TestExperiments:
     def test_experiment1_record_shape(self, exp1, small_corpus):
         assert len(exp1) == len(small_corpus)
@@ -248,10 +232,18 @@ class TestExperiments:
         assert experiment2(small_corpus, workers=2) == exp2
 
     def test_pool_of_two_matches_serial(self, monkeypatch):
-        assert_pool_of_two_matches_serial(experiment2, monkeypatch)
+        # two chunks, so two workers really start
+        corpus = two_chunk_corpus()
+        sizes = []
 
-    def test_experiment1_pool_of_two_matches_serial(self, monkeypatch):
-        assert_pool_of_two_matches_serial(experiment1, monkeypatch)
+        def recording_pool(max_workers):
+            sizes.append(max_workers)
+            return ProcessPoolExecutor(max_workers=max_workers)
+
+        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        assert experiment2(corpus, workers=2) == experiment2(corpus)
+        assert sizes == [2]
 
     def test_serial_experiment1_is_one_batch_per_matrix_size(self):
         corpus = two_chunk_corpus()

@@ -8,6 +8,7 @@ from groupahp import (
     DomainError,
     GroupAHPError,
     RunConfig,
+    ShapeError,
     bundled_panel,
     load_config,
     load_panel,
@@ -207,6 +208,17 @@ class TestLoadSave:
         assert again_ids == ids
         for a, b in zip(panel.matrices, again.matrices):
             assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("ids", [[], ["a"], ["a", "b", "c"]])
+    def test_ids_must_name_every_expert(self, ids, tmp_path):
+        # a short list would truncate the panel, a long one drop ids; only None means e1, e2
+        panel, _ = parse_panel(VALID_DOC)
+        out = tmp_path / "copy.json"
+        with pytest.raises(ShapeError, match="expert ids for a panel of 2 experts"):
+            save_panel(out, panel, ids)
+        assert not out.exists()
+        save_panel(out, panel)
+        assert load_panel(out)[1] == ["e1", "e2"]
 
     def test_invalid_json_reports_line(self, tmp_path):
         path = tmp_path / "broken.json"
