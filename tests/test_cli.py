@@ -256,15 +256,15 @@ class TestMalformedInput:
              "credibility_matrix"),
             ({"counts": {"101": 1}}, 3, "counts"),
             ({"counts": {"7" * 5000: 1}}, 3, "counts"),
-            ({"counts": {"5": 3, "05": 4}}, 3, "counts"),  # would merge into {5: 4}
-            ({"counts": {"05": 4}}, 3, "counts"),
-            ({"counts": {"\uff15": 3}}, 3, "counts"),  # full-width 5 passes isdecimal()
             ({"alpha_stop": 1e308, "alpha_step": 1e-308}, 3, "alpha_step"),
             ({"alpha_step": 1e-300}, 3, "alpha_step"),
             ({"alpha_start": 1e308, "alpha_stop": 1, "alpha_step": 1e-308}, 3, "alpha_stop"),
             ({"panel_size": 10**12}, 3, "panel_size"),
             ({"counts": {"7": 10**12}}, 3, "counts"),
             ({"counts": {"100": 10}, "panel_size": 1000, "alpha_step": 0.01}, 3, "alpha_step"),
+            ({"counts": {"5": 3, "05": 4}}, 3, "counts"),  # would merge into {5: 4}
+            ({"counts": {"05": 4}}, 3, "counts"),
+            ({"counts": {"\uff15": 3}}, 3, "counts"),  # full-width 5 passes isdecimal()
         ],
     )
     def test_config(self, doc, code, key, tmp_path, capsys):
