@@ -13,9 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import _wgm_stack
-from .core import ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack
+from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, PriorityVector, _check_rows
 from .derive import _row_gmm
 from .errors import DomainError, ShapeError
+
+SATURATION = 9.0  # the top of Saaty's 1-9 scale
 
 
 @dataclass(frozen=True)
@@ -28,19 +30,20 @@ class AttackOutcome:
 
 
 def _check_saturation(saturation: float) -> None:
-    if not saturation > 1.0:
-        raise DomainError("saturation must exceed 1")
+    if not 1.0 < saturation <= MAX_JUDGMENT:  # NaN too
+        raise DomainError(f"saturation must exceed 1 and be at most {MAX_JUDGMENT:g}")
 
 
 def _bribe_stack(A: np.ndarray, promoted, demoted, saturation: float) -> None:
     """Doctor each (n, n) matrix of the stack A in place: promoted[s]'s row saturates against
-    all others, demoted[s]'s row gets the reciprocal, columns mirror rows."""
+    all others, demoted[s]'s row gets the reciprocal, columns mirror rows; valid stays valid."""
     s, inv = np.arange(len(A)), 1.0 / saturation
     for alt, row, col in ((demoted, inv, saturation), (promoted, saturation, inv)):
         A[s, alt, :], A[s, :, alt], A[s, alt, alt] = row, col, 1.0
 
 
-def bribe_matrix(C: PCMatrix, promoted: int, demoted: int, saturation: float = 9.0) -> PCMatrix:
+def bribe_matrix(C: PCMatrix, promoted: int, demoted: int,
+                 saturation: float = SATURATION) -> PCMatrix:
     """Doctor one expert's matrix in favor of ``promoted``: ``_bribe_stack`` on a stack of one."""
     if not (0 <= promoted < C.n and 0 <= demoted < C.n):
         raise ShapeError("alternative index out of range")
@@ -58,6 +61,7 @@ def _attack_stack(A, max_bribes: int | None, saturation: float):
     Support is ranked once, as nobody is bribed twice; step b bribes the b-th queued
     expert of every panel not yet flipped.  Returns the (S, budget) queues, bribes used,
     success flags, manipulated and honest aggregates, and final GMM vectors and logs."""
+    _check_saturation(saturation)
     S, k, n = A.shape[:3]
     G = _check_rows(_row_gmm(A).reshape(S * k, n)).reshape(S, k, n)
     L, uniform = np.log(G), np.full((S, k), 1.0 / k)
@@ -73,7 +77,6 @@ def _attack_stack(A, max_bribes: int | None, saturation: float):
             break
         t, M = queue[s, b], A[s, queue[s, b]]
         _bribe_stack(M, runner_up[s], winner[s], saturation)
-        _check_stack(M)
         g = _check_rows(_row_gmm(M))
         A[s, t], G[s, t], L[s, t] = M, g, np.log(g)
         r = _check_rows(_wgm_stack(uniform[s], L[s]))
@@ -83,11 +86,10 @@ def _attack_stack(A, max_bribes: int | None, saturation: float):
 
 
 def run_attack(
-    panel: ExpertPanel, max_bribes: int | None = None, saturation: float = 9.0
+    panel: ExpertPanel, max_bribes: int | None = None, saturation: float = SATURATION
 ) -> AttackOutcome:
     """Bribe experts one by one until the honest runner-up tops the ranking:
     ``_attack_stack`` on a batch of one."""
-    _check_saturation(saturation)
     A = panel.stack[None].copy()
     queue, used, ok, ranking, honest, _, _ = _attack_stack(A, max_bribes, saturation)
     bribed = tuple(queue[0, :used[0]].tolist())

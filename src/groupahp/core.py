@@ -18,6 +18,7 @@ from .errors import DomainError, ShapeError
 
 RECIPROCITY_TOL = 1e-9
 WEIGHT_SUM_TOL = 1e-12
+MAX_JUDGMENT = 1e100  # judgments lie in [1e-100, 1e100], so a product of three is finite
 
 
 def _frozen_array(values, dtype=float) -> np.ndarray:

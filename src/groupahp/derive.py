@@ -39,15 +39,15 @@ def panel_gmm(panel: ExpertPanel) -> list[PriorityVector]:
 
     The first call memoises, read-only on the panel, the (k, n) matrix of these
     vectors and its log, which the aggregation kernels work on, and gives each
-    matrix without a vector its row of that matrix.
+    matrix its row of that matrix.
     """
     if "log_gmm" not in panel._memo:
         G = _checked_gmm(panel.stack)
         L = np.log(G)
         L.setflags(write=False)
         panel._memo.update(gmm=G, log_gmm=L)
-        for m, w in zip(panel.matrices, G):  # a vector memoised before is kept
-            m._memo.setdefault("gmm", _unchecked(PriorityVector, weights=w))
+        for m, w in zip(panel.matrices, G):
+            m._memo["gmm"] = _unchecked(PriorityVector, weights=w)
     return [gmm_priorities(m) for m in panel.matrices]
 
 
@@ -57,12 +57,12 @@ def _panel_gmm_matrix(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
     return panel._memo["gmm"], panel._memo["log_gmm"]
 
 
-def _power_iterate(A: np.ndarray, v: np.ndarray) -> None:
+def _power_iterate(A: np.ndarray, v: np.ndarray, lam: np.ndarray) -> None:
     """Power iteration on a (k, n, n) stack from the start vectors ``v``, written into ``v``.
 
     A block of steps does only the product and its normalisation, and keeps each
     step's vectors.  After the block, each matrix that passed the test at some
-    step keeps that step's vector and leaves the stack.
+    step keeps that step's vector and leaves the stack; LAPACK's eigenvalues go in ``lam``.
     """
     active = np.arange(len(A))
     A_act, v_act = A, v
@@ -82,7 +82,8 @@ def _power_iterate(A: np.ndarray, v: np.ndarray) -> None:
         active, A_act, v_act = active[moving], A_act[moving], H[-1, moving]
     if active.size:
         vals, vecs = np.linalg.eig(A_act)
-        v[active] = vecs[np.arange(len(active)), :, vals.real.argmax(axis=1)].real
+        top = np.arange(len(active)), vals.real.argmax(axis=1)
+        v[active], lam[active] = vecs[top[0], :, top[1]].real, vals[top].real
 
 
 def evm_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -95,14 +96,15 @@ def evm_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     although the test runs once per ``EVM_BLOCK`` steps.  A positive matrix has
     a unique positive dominant eigenpair (Perron-Frobenius).  A matrix that no
     step of the first ``EVM_MAX_ITER`` passes (|lambda_2| / lambda_max near 1)
-    takes the eigenvector of its largest real eigenvalue from LAPACK instead.
+    takes its largest real eigenvalue, and that eigenvalue's vector, from LAPACK.
     The stack is iterated ``EVM_SLAB`` matrices at a time, which bounds the
     memory of a block's vectors.
     """
-    v = _row_gmm(A)
+    v, lam = _row_gmm(A), np.full(len(A), np.nan)
     for lo in range(0, len(A), EVM_SLAB):
-        _power_iterate(A[lo:lo + EVM_SLAB], v[lo:lo + EVM_SLAB])
-    lam = np.mean((A @ v[..., None])[..., 0] / v, axis=1)
+        _power_iterate(A[lo:lo + EVM_SLAB], v[lo:lo + EVM_SLAB], lam[lo:lo + EVM_SLAB])
+    iterated = np.isnan(lam)  # a vector of LAPACK's may have a zero component
+    lam[iterated] = np.mean((A[iterated] @ v[iterated, :, None])[..., 0] / v[iterated], axis=1)
     return v / v.sum(axis=1, keepdims=True), lam
 
 

@@ -16,14 +16,6 @@ def _stack_cis(A: np.ndarray) -> np.ndarray:
     return np.maximum((evm_stack(A)[1] - A.shape[-1]) / (A.shape[-1] - 1), 0.0)
 
 
-def _memoise_cis(mats) -> None:
-    """Memoise the CIs that the same-sized matrices ``mats`` lack, from one power iteration."""
-    missing = [m for m in mats if "ci" not in m._memo]
-    if missing:
-        for m, ci in zip(missing, _stack_cis(np.stack([m.values for m in missing]))):
-            m._memo["ci"] = float(ci)
-
-
 def saaty_ci(C: PCMatrix) -> float:
     """Consistency index (lambda_max - n) / (n - 1).
 
@@ -32,13 +24,15 @@ def saaty_ci(C: PCMatrix) -> float:
     to zero.  Derived once per matrix; later calls return the memoised value.
     """
     if "ci" not in C._memo:
-        _memoise_cis([C])
+        C._memo["ci"] = float(_stack_cis(C.values[None])[0])
     return C._memo["ci"]
 
 
 def panel_cis(panel: ExpertPanel) -> list[float]:
-    """Each expert's CI; the ones not yet memoised come from one power iteration."""
-    _memoise_cis(panel.matrices)
+    """Each expert's CI; a panel that lacks any gets all k from one power iteration."""
+    if any("ci" not in m._memo for m in panel.matrices):
+        for m, ci in zip(panel.matrices, _stack_cis(panel.stack).tolist()):
+            m._memo["ci"] = ci
     return [saaty_ci(m) for m in panel.matrices]
 
 

@@ -18,7 +18,7 @@ from itertools import product
 import numpy as np
 
 from .aggregate import _wgm_stack, aggregate_panel
-from .attack import _attack_stack, _check_saturation
+from .attack import SATURATION, _attack_stack
 from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack,
                    _checked_panel, consistent_matrix_from_priorities, resymmetrize)
 from .errors import DomainError, EmptyReportError
@@ -183,7 +183,7 @@ def experiment1(
     scenarios: list[Scenario],
     config: RobustConfig = RobustConfig(),
     max_bribes: int | None = None,
-    saturation: float = 9.0,
+    saturation: float = SATURATION,
 ) -> list[dict]:
     """Attack every scenario, then score how well each scheme recovers.
 
@@ -191,7 +191,6 @@ def experiment1(
     matrices, and one scoring per method.  Returns one flat row per scenario,
     keyed by the records.csv columns.
     """
-    _check_saturation(saturation)
     groups: dict[tuple, list[int]] = {}
     for i, s in enumerate(scenarios):
         groups.setdefault(s.panel.stack.shape, []).append(i)
@@ -201,8 +200,7 @@ def experiment1(
         queue, used, ok, ranking, honest, G, L = _attack_stack(A, max_bribes, saturation)
         CI = np.array([panel_cis(scenarios[i].panel) for i in idx])
         p, b = np.nonzero(np.arange(queue.shape[1]) < used[:, None])
-        if p.size:
-            CI[p, queue[p, b]] = _stack_cis(A[p, queue[p, b]])
+        CI[p, queue[p, b]] = _stack_cis(A[p, queue[p, b]])
         W = {"APDD": _apdd_stack(_metric(config.metric)(ranking[:, None], G), config),
              "AID": _aid_stack(_centred(CI), config)}
         W["MX"] = _mx_stack(W["APDD"], W["AID"], config)

@@ -23,16 +23,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ExpertPanel, PCMatrix, resymmetrize
+from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, resymmetrize
 from .errors import DomainError, PanelParseError, ShapeError
-from .montecarlo import EPSILON_DISTRIBUTIONS
+from .montecarlo import EPSILON_DISTRIBUTIONS, SATURATION
 from .robust import CredibilityScale2, CredibilityScale3, RobustConfig, credibility_from_matrix
 
 LOAD_RECIPROCITY_RTOL = 1e-2
 MAX_ALPHA_LEVELS = 1000  # the study runs 40
+MAX_ALPHA = 1e90  # base ratios stay below 1e9 (weights > 1e-9), so judgments below 1e99
 MAX_ALTERNATIVES = 100  # the study runs 5 to 7
-# judgments lie in [1 / MAX_JUDGMENT, MAX_JUDGMENT], so a product of three is finite
-MAX_JUDGMENT = 1e100
 # judgment entries a corpus draws, sum(counts[n] * n**2) * alpha levels * panel_size:
 # about 400 MB of float64; the study draws 2,924,000
 MAX_CORPUS_ENTRIES = 50_000_000
@@ -146,7 +145,7 @@ class RunConfig:
     alpha_step: float = 0.1
     panel_size: int = 20
     robust: RobustConfig = field(default_factory=RobustConfig)
-    saturation: float = 9.0
+    saturation: float = SATURATION
     max_bribes: int | None = None
     epsilon_distribution: str = "log-uniform"
     workers: int = 1
@@ -172,7 +171,7 @@ _SCALAR_KEYS = {
     "alpha_start": (float, lambda v: v >= 1.0, ">= 1"),
     "alpha_stop": (float, lambda v: v >= 1.0, ">= 1"),
     "alpha_step": (float, lambda v: v > 0.0, "> 0"),
-    "saturation": (float, lambda v: v > 1.0, "> 1"),
+    "saturation": (float, lambda v: 1.0 < v <= MAX_JUDGMENT, f"> 1 and <= {MAX_JUDGMENT:g}"),
     "epsilon_distribution": (str, lambda v: v in EPSILON_DISTRIBUTIONS,
                              f"one of {list(EPSILON_DISTRIBUTIONS)}"),
     "h": (float, None, None), "l": (float, None, None),
@@ -249,9 +248,11 @@ def load_config(path: str | Path | None) -> RunConfig:
     values = {k: check_value(k, v) for k, v in doc.items() if k in _SCALAR_KEYS}
     robust = {k: values.pop(k) for k in ("beta", "metric") if k in values}
     robust["scale2"] = CredibilityScale2(**{k: values.pop(k) for k in ("h", "l") if k in values})
-    key = next((k for k in _CREDIBILITY_KEYS if k in doc), None)
-    if key:
-        robust["scale3"] = _parse_credibility(key, doc[key])
+    keys = [k for k in _CREDIBILITY_KEYS if k in doc]
+    if len(keys) > 1:
+        raise PanelParseError(f"config keys {keys[0]!r} and {keys[1]!r}: give at most one")
+    if keys:
+        robust["scale3"] = _parse_credibility(keys[0], doc[keys[0]])
     values["robust"] = RobustConfig(**robust)
     if "counts" in doc:
         values["counts"] = _counts(doc["counts"])
@@ -262,6 +263,8 @@ def load_config(path: str | Path | None) -> RunConfig:
             f"{config.alpha_count:g} alpha levels, not 1 to {MAX_ALPHA_LEVELS}: "
             f"{config.alpha_start!r} to {config.alpha_stop!r} by {config.alpha_step!r}"
         )
+    if max(config.alphas) > MAX_ALPHA:
+        raise DomainError(f"config keys 'alpha_start' and 'alpha_stop' go past {MAX_ALPHA:g}")
     per_level = sum(c * n * n for n, c in config.counts.items()) * config.panel_size
     if per_level * int(config.alpha_count) > MAX_CORPUS_ENTRIES:  # Python ints: no count overflows
         raise DomainError(

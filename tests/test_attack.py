@@ -84,6 +84,12 @@ class TestBribeMatrix:
         with pytest.raises(DomainError):
             bribe_matrix(m, 0, 1, saturation=1.0)
 
+    @pytest.mark.parametrize("saturation", [float("inf"), 1e101])
+    def test_rejects_saturation_past_the_judgment_bound(self, saturation):
+        m = random_pcm(4, np.random.default_rng(151))
+        with pytest.raises(DomainError, match="saturation must exceed 1 and be at most 1e"):
+            bribe_matrix(m, 0, 1, saturation)
+
 
 class TestRunAttack:
     def test_flips_winner_to_runner_up(self):
@@ -113,7 +119,7 @@ class TestRunAttack:
         assert len(outcome.bribed_indices) == 1
 
     @pytest.mark.parametrize("max_bribes", [0, 1, None])
-    @pytest.mark.parametrize("saturation", [1.0, 0.5, float("nan")])
+    @pytest.mark.parametrize("saturation", [1.0, 0.5, float("nan"), float("inf"), 1e101])
     def test_rejects_saturation_up_to_one_whatever_the_budget(self, max_bribes, saturation):
         panel = unanimous_panel([3.0, 2.0, 1.0], k=4)
         with pytest.raises(DomainError, match="saturation must exceed 1"):

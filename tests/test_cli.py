@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from groupahp import montecarlo, pcm_from_upper_triangle
 from groupahp.cli import main
-from tests.conftest import SLOW_EVM_UPPER
+from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
 # a valid panel whose second expert's CI needs more than the power iteration's budget,
@@ -265,6 +265,11 @@ class TestMalformedInput:
             ({"counts": {"5": 3, "05": 4}}, 3, "counts"),  # would merge into {5: 4}
             ({"counts": {"05": 4}}, 3, "counts"),
             ({"counts": {"\uff15": 3}}, 3, "counts"),  # full-width 5 passes isdecimal()
+            ({"credibility_matrix": [[1, 2, 7], [0.5, 1, 4], [0.142857, 0.25, 1]],
+              "credibility_ratios": "garbage"}, 2, "'credibility_matrix' and 'credibility_ratios'"),
+            ({"counts": {"4": 1}, "panel_size": 2, "saturation": 1e101}, 3, "saturation"),
+            ({"counts": {"4": 1}, "panel_size": 2, "alpha_start": 1e91, "alpha_stop": 1e91}, 3,
+             "'alpha_start' and 'alpha_stop'"),
         ],
     )
     def test_config(self, doc, code, key, tmp_path, capsys):
@@ -383,6 +388,9 @@ class TestHostileDocuments:
     @example(text=SLOW_EVM_PANEL, command="inspect")
     @example(text=three_alt_panel(1e308, 1e308, 1e-308), command="inspect")
     @example(text=three_alt_panel(1e200, 1e200, 1e-200), command="inspect")
+    @example(text=json.dumps({"n": 5, "experts": [
+        {"matrix": pcm_from_upper_triangle(5, ZERO_COMPONENT_UPPER).values.tolist()}]}),
+        command="inspect")
     @settings(max_examples=150, deadline=None)
     def test_panel(self, text, command, tmp_path_factory):
         path = tmp_path_factory.getbasetemp() / "hostile_panel.json"
@@ -397,6 +405,23 @@ class TestHostileDocuments:
         path.write_text(three_alt_panel(1e100, 1e100, 1e-100))
         for command in (["inspect"], ["aggregate", "--method", "MX"], ["attack"]):
             assert run_quietly(command + ["--input", str(path)]) == (0, "")
+
+    def test_attack_at_the_saturation_bound_reads_back(self, five_alt_path, tmp_path):
+        cfg, out = tmp_path / "config.json", str(tmp_path / "doctored.json")
+        cfg.write_text(json.dumps({"saturation": 1e100}))
+        argv = ["attack", "--input", five_alt_path, "--config", str(cfg), "--out", out]
+        assert run_quietly(argv) == (0, "")
+        assert run_quietly(["inspect", "--input", out]) == (0, "")
+
+    def test_corpus_at_the_alpha_bound_reads_back(self, tmp_path):
+        cfg, out = tmp_path / "config.json", tmp_path / "corpus"
+        cfg.write_text(json.dumps({"counts": {"3": 2, "5": 2}, "panel_size": 4,
+                                   "alpha_start": 1e90, "alpha_stop": 1e90}))
+        assert run_quietly(["gen", "--config", str(cfg), "--out", str(out)]) == (0, "")
+        files = sorted(out.glob("scenario_*.json"))
+        assert len(files) == 4
+        for path in files:
+            assert run_quietly(["inspect", "--input", str(path)]) == (0, "")
 
     def test_hundred_alternatives(self, tmp_path):
         rng = np.random.default_rng(100)

@@ -443,7 +443,7 @@ class TestExperiment1Arrays:
         expected = [one_scenario_at_a_time(s, RobustConfig(), None, 9.0) for s in small_corpus]
         assert experiment1(small_corpus) == expected
 
-    @pytest.mark.parametrize("saturation", [1.0, 0.5])
+    @pytest.mark.parametrize("saturation", [1.0, 0.5, float("inf"), 1e101])
     def test_rejects_saturation_up_to_one(self, small_corpus, saturation):
         with pytest.raises(DomainError, match="saturation"):
             experiment1(small_corpus, max_bribes=0, saturation=saturation)

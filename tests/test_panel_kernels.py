@@ -13,6 +13,7 @@ from groupahp import (
     PCMatrix,
     PriorityVector,
     aggregate_panel,
+    aid_weights,
     aip,
     bribe_matrix,
     consistent_matrix_from_priorities,
@@ -29,7 +30,7 @@ from groupahp import (
 )
 from groupahp import derive, inconsistency
 from groupahp.metrics import CARDINAL_METRICS
-from tests.conftest import SLOW_EVM_UPPER
+from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER
 from tests.test_core import random_pcm
 
 KINDS = ("perturbed", "consistent", "bribed", "tied")
@@ -91,12 +92,12 @@ def test_partly_memoised_panel_keeps_what_it_has(panel, data):
         cis = panel_cis(panel)
     with mock.patch.object(derive, "_row_gmm", wraps=derive._row_gmm) as log_mean:
         vectors = panel_gmm(panel)
-    # CIs: one power iteration over the missing ones; GMM: one log-mean over all k
-    missing = panel.k - len(known)
-    assert [c.args[0].shape[0] for c in power.call_args_list] == ([missing] if missing else [])
+    # CIs: one power iteration over all k if any is missing; GMM: one log-mean over all k
+    some_missing = len(known) < panel.k
+    assert [c.args[0].shape[0] for c in power.call_args_list] == [panel.k] * some_missing
     assert [c.args[0].shape[0] for c in log_mean.call_args_list] == [panel.k]
     for i, (ci, v) in before.items():
-        assert cis[i] == ci and vectors[i] is v
+        assert cis[i] == ci and vectors[i].weights.tobytes() == v.weights.tobytes()
 
 
 def reference_corpus(seed, counts, alphas, k, distribution):
@@ -176,6 +177,15 @@ def test_evm_stack_finishes_past_the_budget():
     assert abs(lam[3] - reference) <= 1e-12 * reference
 
 
+def test_lapack_eigenvalue_where_its_eigenvector_has_a_zero_component():
+    m = pcm_from_upper_triangle(5, ZERO_COMPONENT_UPPER)
+    lam = float(np.max(np.linalg.eigvals(m.values).real))
+    assert abs(saaty_ci(m) - (lam - 5) / 4) <= 1e-12 * lam
+    # so AID trusts the consistent expert more than this one
+    consistent = consistent_matrix_from_priorities(PriorityVector.from_raw(np.arange(1.0, 6.0)))
+    assert np.allclose(aid_weights(ExpertPanel((m, consistent))).r, [0.1, 0.9])
+
+
 def test_each_matrix_stops_on_its_own_test():
     # a consistent matrix converges at once; a far-off one needs many steps
     rng = np.random.default_rng(23)
@@ -190,8 +200,9 @@ def test_each_matrix_stops_on_its_own_test():
 def per_step_evm(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The power iteration with a test after every step, written out: each matrix stops
     at its first passing step, and LAPACK takes the ones no step of the first
-    ``EVM_MAX_ITER`` passes.  Also returns each matrix's stopping step (0 for LAPACK)."""
-    v = derive._row_gmm(A)
+    ``EVM_MAX_ITER`` passes, eigenvalue and eigenvector.  Also returns each matrix's
+    stopping step (0 for LAPACK)."""
+    v, lam = derive._row_gmm(A), np.full(len(A), np.nan)
     steps = np.zeros(len(A), int)
     active = np.arange(len(A))
     A_act, v_act = A, v
@@ -206,8 +217,10 @@ def per_step_evm(A: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         active, A_act, v_act = active[moving], A_act[moving], v_next[moving]
     if active.size:
         vals, vecs = np.linalg.eig(A_act)
-        v[active] = vecs[np.arange(len(active)), :, vals.real.argmax(axis=1)].real
-    lam = np.mean((A @ v[..., None])[..., 0] / v, axis=1)
+        top = np.arange(len(active)), vals.real.argmax(axis=1)
+        v[active], lam[active] = vecs[top[0], :, top[1]].real, vals[top].real
+    iterated = np.isnan(lam)
+    lam[iterated] = np.mean((A[iterated] @ v[iterated, :, None])[..., 0] / v[iterated], axis=1)
     return v / v.sum(axis=1, keepdims=True), lam, steps
 
 
