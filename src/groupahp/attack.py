@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import _wgm_stack
-from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, PriorityVector, _check_rows
+from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, PriorityVector, _check_rows, _checked_panel
 from .derive import _row_gmm
 from .errors import DomainError, ShapeError
 
@@ -92,7 +92,8 @@ def run_attack(
     ``_attack_stack`` on a batch of one."""
     A = panel.stack[None].copy()
     queue, used, ok, ranking, honest, _, _ = _attack_stack(A, max_bribes, saturation)
+    A.setflags(write=False)
     bribed = tuple(queue[0, :used[0]].tolist())
-    manipulated = ExpertPanel.from_stack(A[0]) if bribed else panel
+    manipulated = _checked_panel(A[0]) if bribed else panel
     return AttackOutcome(bribed, manipulated, bool(ok[0]), PriorityVector(ranking[0]),
                          PriorityVector(honest[0]))

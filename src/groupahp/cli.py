@@ -19,7 +19,7 @@ from .aggregate import aggregate_panel
 from .attack import run_attack
 from .derive import panel_gmm
 from .errors import DomainError, GroupAHPError, PanelParseError
-from .inconsistency import koczkodaj_k, panel_cis
+from .inconsistency import _stack_k, panel_cis
 from .montecarlo import (
     Scenario,
     experiment1,
@@ -91,8 +91,8 @@ def cmd_attack(args) -> int:
 def cmd_inspect(args) -> int:
     panel, ids = load_panel(args.input)
     print(f"panel: {panel.k} experts, {panel.n} alternatives")
-    for eid, m, ci in zip(ids, panel.matrices, panel_cis(panel)):
-        k = _fmt(koczkodaj_k(m)) if panel.n >= 3 else "n/a"
+    ks = map(_fmt, _stack_k(panel.stack).tolist()) if panel.n >= 3 else ["n/a"] * panel.k
+    for eid, ci, k in zip(ids, panel_cis(panel), ks):
         print(f"{eid}: CI={_fmt(ci)} K={k}")
     return 0
 

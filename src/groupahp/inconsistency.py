@@ -36,27 +36,29 @@ def panel_cis(panel: ExpertPanel) -> list[float]:
     return [saaty_ci(m) for m in panel.matrices]
 
 
-def koczkodaj_k(C: PCMatrix) -> float:
-    """Worst-triad relative deviation from consistency, in [0, 1).
-
-    Triads are taken in blocks of their largest index, about _TRIAD_BLOCK
-    ratios (or one index) at a time, so memory grows as n^2, not n^3.
-    """
-    n = C.n
+def _stack_k(A: np.ndarray) -> np.ndarray:
+    """Koczkodaj's K, the worst triad's relative deviation from consistency, in [0, 1), of each
+    matrix of a (k, n, n) stack.  Triads go in blocks of their largest index, about _TRIAD_BLOCK
+    ratios (or one index) at a time, so memory grows with the stack's size, not with k n^3."""
+    n = A.shape[-1]
     if n < 3:
         raise DomainError("the triad index requires at least 3 alternatives")
-    a = C.values
     r = np.arange(n)
     i_below_j = (r[:, None] < r)[:, :, None]
-    step = max(1, _TRIAD_BLOCK // (n * n))
-    worst = 0.0
+    step = max(1, _TRIAD_BLOCK // A.size)
+    worst = np.zeros(len(A))
     for k0 in range(2, n, step):
         ks = slice(k0, k0 + step)
-        # ratio[i, j, k] = a_ik * a_kj / a_ij, over the triads i < j < k
-        ratio = a[:, None, ks] * a.T[None, :, ks] / a[:, :, None]
-        ratio = ratio[i_below_j & (r[:, None] < r[ks])]
-        worst = max(worst, float(np.minimum(abs(1.0 - ratio), abs(1.0 - 1.0 / ratio)).max()))
+        # ratio[q, i, j, k] = a_ik * a_kj / a_ij, over the triads i < j < k
+        ratio = A[:, :, None, ks] * A.transpose(0, 2, 1)[:, None, :, ks] / A[..., None]
+        ratio = ratio[:, i_below_j & (r[:, None] < r[ks])]
+        worst = np.maximum(worst, np.minimum(abs(1.0 - ratio), abs(1.0 - 1.0 / ratio)).max(axis=1))
     return worst
+
+
+def koczkodaj_k(C: PCMatrix) -> float:
+    """Koczkodaj's K of one matrix: ``_stack_k`` on a stack of one."""
+    return float(_stack_k(C.values[None])[0])
 
 
 def panel_mean_ci(panel: ExpertPanel) -> float:

@@ -31,6 +31,7 @@ EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
 CI_THRESHOLD = 0.1  # the low-inconsistency region the headline statistics cover
 CHUNK = 32  # scenarios per pool task
+MAX_ALPHA = 1e90  # base ratios stay below 1e9 (weights > 1e-9), so judgments below 1e99
 
 
 @dataclass(frozen=True)
@@ -62,8 +63,8 @@ def _perturbed_stack(C: np.ndarray, alphas, rng: np.random.Generator, distributi
     so the stack is the one B * len(alphas) calls of ``perturb`` would draw.
     """
     alphas = [float(a) for a in alphas]
-    if not all(1.0 <= a < np.inf for a in alphas):  # NaN too
-        raise DomainError("alpha must be finite and >= 1")
+    if not all(1.0 <= a <= MAX_ALPHA for a in alphas):  # NaN too
+        raise DomainError(f"alpha must be >= 1 and at most {MAX_ALPHA:g}")
     n = C.shape[-1]
     iu = np.triu_indices(n, k=1)
     size = (len(C), len(alphas), k, len(iu[0]))

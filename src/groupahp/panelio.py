@@ -25,12 +25,11 @@ import numpy as np
 
 from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, resymmetrize
 from .errors import DomainError, PanelParseError, ShapeError
-from .montecarlo import EPSILON_DISTRIBUTIONS, SATURATION
+from .montecarlo import EPSILON_DISTRIBUTIONS, MAX_ALPHA, SATURATION
 from .robust import CredibilityScale2, CredibilityScale3, RobustConfig, credibility_from_matrix
 
 LOAD_RECIPROCITY_RTOL = 1e-2
 MAX_ALPHA_LEVELS = 1000  # the study runs 40
-MAX_ALPHA = 1e90  # base ratios stay below 1e9 (weights > 1e-9), so judgments below 1e99
 MAX_ALTERNATIVES = 100  # the study runs 5 to 7
 # judgment entries a corpus draws, sum(counts[n] * n**2) * alpha levels * panel_size:
 # about 400 MB of float64; the study draws 2,924,000
@@ -117,20 +116,17 @@ def panel_document(panel: ExpertPanel, ids: list[str] | None = None) -> dict:
         raise ShapeError(f"{len(ids)} expert ids for a panel of {panel.k} experts")
     return {
         "n": panel.n,
-        "experts": [
-            {"id": eid, "matrix": m.values.tolist()}
-            for eid, m in zip(ids, panel.matrices)
-        ],
+        "experts": [{"id": eid, "matrix": m} for eid, m in zip(ids, panel.stack.tolist())],
     }
 
 
 def save_panel(path: str | Path, panel: ExpertPanel, ids: list[str] | None = None) -> None:
-    Path(path).write_text(json.dumps(panel_document(panel, ids), indent=1))
+    Path(path).write_text(json.dumps(panel_document(panel, ids)))
 
 
 def bundled_panel(name: str) -> tuple[ExpertPanel, list[str]]:
     """Load one of the sample panels shipped with the package."""
-    text = resources.files("groupahp.data").joinpath(f"{name}.json").read_text()
+    text = (resources.files("groupahp") / "data" / f"{name}.json").read_text()
     return parse_panel(json.loads(text))
 
 

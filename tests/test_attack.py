@@ -16,6 +16,7 @@ from groupahp import (
     perturb,
     run_attack,
 )
+from groupahp import core
 from tests.conftest import normalized
 from tests.test_core import random_pcm
 
@@ -145,6 +146,21 @@ class TestRunAttack:
         run_attack(panel)
         for m, b in zip(panel.matrices, before):
             assert np.array_equal(m.values, b)
+
+    def test_manipulated_panel_is_the_bribed_stack_unchecked(self, five_alt_panel, monkeypatch):
+        # a bribe writes only s, 1/s and 1 into a checked matrix, so the stack is not checked again
+        want = one_panel_per_bribe(five_alt_panel, None, 9.0)[1].stack
+
+        def check_stack(A):
+            raise AssertionError("the bribed stack was checked again")
+
+        monkeypatch.setattr(core, "_check_stack", check_stack)
+        outcome = run_attack(five_alt_panel)
+        got = outcome.manipulated_panel.stack
+        assert outcome.bribed_indices == (0,)
+        assert not got.flags.writeable
+        assert not any(m.values.flags.writeable for m in outcome.manipulated_panel.matrices)
+        assert got.tobytes() == want.tobytes()
 
 
 def one_panel_per_bribe(panel, max_bribes, saturation):

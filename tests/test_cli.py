@@ -10,8 +10,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupahp import montecarlo, pcm_from_upper_triangle
-from groupahp.cli import main
+from groupahp import bundled_panel, cli, koczkodaj_k, montecarlo, pcm_from_upper_triangle
+from groupahp.cli import _fmt, main
+from groupahp.inconsistency import _stack_k
 from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
@@ -89,6 +90,30 @@ class TestInspect:
         out = capsys.readouterr().out
         assert out.count("CI=") == 8
         assert out.count("K=") == 8
+
+    @pytest.mark.parametrize("name", ["eight_expert_panel", "bribery_demo_panel"])
+    def test_k_from_one_stacked_kernel(self, name, capsys, monkeypatch):
+        calls = []
+
+        def stack_k(A):
+            calls.append(A.shape)
+            return _stack_k(A)
+
+        monkeypatch.setattr(cli, "_stack_k", stack_k)
+        path = resources.files("groupahp.data") / f"{name}.json"
+        assert main(["inspect", "--input", str(path)]) == 0
+        panel, ids = bundled_panel(name)
+        lines = capsys.readouterr().out.splitlines()[1:]
+        assert [line.split(":")[0] for line in lines] == ids
+        want = [_fmt(koczkodaj_k(m)) for m in panel.matrices]
+        assert [line.split(" K=")[1] for line in lines] == want
+        assert calls == [panel.stack.shape]
+
+    def test_two_alternatives_print_no_k(self, tmp_path, capsys):
+        path = tmp_path / "panel.json"
+        path.write_text(json.dumps({"n": 2, "experts": [{"matrix": [[1, 2], [0.5, 1]]}] * 3}))
+        assert main(["inspect", "--input", str(path)]) == 0
+        assert capsys.readouterr().out.count("K=n/a") == 3
 
 
 class TestExperiment:

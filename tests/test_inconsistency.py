@@ -4,16 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupahp import (
     DomainError,
+    ExpertPanel,
     PCMatrix,
     PriorityVector,
     consistent_matrix_from_priorities,
     koczkodaj_k,
     panel_mean_ci,
+    resymmetrize,
     saaty_ci,
 )
+from groupahp.inconsistency import _stack_k
 from tests.test_core import random_pcm
 from tests.test_derive import derived_matrices
 
@@ -126,6 +131,40 @@ class TestKoczkodaj:
         rng = np.random.default_rng(31)
         for _ in range(50):
             assert 0.0 <= koczkodaj_k(random_pcm(5, rng)) < 1.0
+
+
+def random_panel(k: int, n: int, spread: float, seed: int) -> ExpertPanel:
+    """k random reciprocal n x n matrices with upper entries e^u, u uniform in [-spread, spread]."""
+    A = np.exp(np.random.default_rng(seed).uniform(-spread, spread, (k, n, n)))
+    return ExpertPanel.from_stack(resymmetrize(A))
+
+
+class TestStackK:
+    @given(k=st.integers(1, 40), n=st.integers(3, 30), spread=st.floats(0.0, 20.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(k=73, n=30, spread=3.0, seed=73)  # 65,700 > _TRIAD_BLOCK entries: step 1, 28 blocks
+    @example(k=10, n=30, spread=3.0, seed=10)  # step 7: 4 blocks
+    @settings(max_examples=40, deadline=None)
+    def test_matches_per_matrix_and_brute_force(self, k, n, spread, seed):
+        panel = random_panel(k, n, spread, seed)
+        got = _stack_k(panel.stack).tobytes()
+        assert got == np.array([koczkodaj_k(m) for m in panel.matrices]).tobytes()
+        assert got == np.array([brute_force_koczkodaj(m.values) for m in panel.matrices]).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_requires_three_alternatives(self, n):
+        with pytest.raises(DomainError, match="at least 3 alternatives"):
+            _stack_k(np.ones((4, n, n)))
+
+    def test_memory_grows_with_the_stack(self):
+        A = random_panel(20, 60, 3.0, 60).stack
+        tracemalloc.start()
+        try:
+            _stack_k(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6  # one unblocked (k, n, n, n) float array alone is 35 MB
 
 
 class TestPanelMeanCI:

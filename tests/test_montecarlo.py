@@ -14,15 +14,18 @@ from groupahp import (
     Scenario,
     consistent_matrix_from_priorities,
     generate_corpus,
+    load_panel,
     manhattan_mean,
     panel_mean_ci,
     perturb,
     random_priority_vector,
     robust_aggregate,
     run_attack,
+    save_panel,
 )
 from groupahp.errors import EmptyReportError
 from groupahp.montecarlo import (
+    MAX_ALPHA,
     METHODS,
     _classify,
     experiment1,
@@ -99,6 +102,22 @@ class TestGeneration:
         base = consistent_matrix_from_priorities(random_priority_vector(3, rng))
         with pytest.raises(DomainError, match="alpha"):
             perturb(base, alpha, rng, dist, 1)
+
+    @pytest.mark.parametrize("alpha", [1e91, 1e300])
+    def test_alpha_past_the_cap_is_rejected(self, alpha):
+        # at 1e300 a corpus held judgments up to 3.5e283, and its saved panels did not load
+        rng = np.random.default_rng(181)
+        base = consistent_matrix_from_priorities(random_priority_vector(4, rng))
+        with pytest.raises(DomainError, match="alpha must be >= 1 and at most 1e\\+90"):
+            generate_corpus(1, {4: 1}, [1.5, alpha], 2, "log-uniform")
+        with pytest.raises(DomainError, match="alpha must be >= 1 and at most 1e\\+90"):
+            perturb(base, alpha, rng, "uniform", 2)
+
+    def test_panel_at_the_alpha_cap_loads_back(self, tmp_path):
+        (scenario,) = generate_corpus(1, {4: 1}, [MAX_ALPHA], 2, "log-uniform")
+        path = tmp_path / "panel.json"
+        save_panel(path, scenario.panel)
+        assert load_panel(path)[0].stack.tobytes() == scenario.panel.stack.tobytes()
 
     def test_perturb_rejects_unknown_distribution(self):
         rng = np.random.default_rng(179)

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import groupahp
 from groupahp import (
     CredibilityScale3,
     DomainError,
@@ -15,7 +21,7 @@ from groupahp import (
     pcm_from_upper_triangle,
     save_panel,
 )
-from groupahp.panelio import PanelParseError, parse_panel
+from groupahp.panelio import PanelParseError, panel_document, parse_panel
 
 
 def write_json(tmp_path, doc, name="panel.json"):
@@ -209,6 +215,16 @@ class TestLoadSave:
         for a, b in zip(panel.matrices, again.matrices):
             assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("name", ["eight_expert_panel", "bribery_demo_panel"])
+    def test_saved_file_is_the_compact_document(self, name, tmp_path):
+        panel, ids = bundled_panel(name)
+        out = tmp_path / "copy.json"
+        save_panel(out, panel, ids)
+        assert out.read_text() == json.dumps(panel_document(panel, ids))
+        again, again_ids = load_panel(out)
+        assert again_ids == ids
+        assert again.stack.tobytes() == panel.stack.tobytes()
+
     @pytest.mark.parametrize("ids", [[], ["a"], ["a", "b", "c"]])
     def test_ids_must_name_every_expert(self, ids, tmp_path):
         # a short list would truncate the panel, a long one drop ids; only None means e1, e2
@@ -238,6 +254,20 @@ class TestLoadSave:
         assert ids8 == [f"e{q}" for q in range(1, 9)]
         five, ids5 = bundled_panel("bribery_demo_panel")
         assert (five.k, five.n) == (4, 5)
+
+    def test_bundled_panels_load_from_a_zipped_package(self, tmp_path):
+        # a zip import (an egg, a zipapp) has no directory for groupahp.data to import as
+        archive, package = tmp_path / "groupahp.zip", Path(groupahp.__file__).parent
+        with zipfile.ZipFile(archive, "w") as zf:
+            for f in package.rglob("*"):
+                if f.suffix in (".py", ".json"):
+                    zf.write(f, f.relative_to(package.parent))
+        code = (f"import groupahp; assert groupahp.__file__.startswith({str(archive)!r}); "
+                "print([groupahp.bundled_panel(n)[0].k for n in "
+                "('eight_expert_panel', 'bribery_demo_panel')])")
+        run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": str(archive)})
+        assert (run.returncode, run.stdout, run.stderr) == (0, "[8, 4]\n", "")
 
 
 class TestRunConfig:
