@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -166,6 +167,7 @@ def cmd_gen(args) -> int:
     return 0
 
 
+@functools.cache  # one parser per process: main parses each command with the same one
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="groupahp",

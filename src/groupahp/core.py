@@ -30,7 +30,8 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 def _unchecked(cls, **fields):
     """An instance of a frozen type whose fields were validated in bulk."""
     obj = object.__new__(cls)
-    obj.__dict__.update(fields)
+    for key, value in fields.items():  # one by one, so that no per-instance __dict__ is made
+        object.__setattr__(obj, key, value)
     return obj
 
 
@@ -172,7 +173,7 @@ class ExpertPanel(_ReadOnlyArrays):
 
 
 def _checked_panel(arr: np.ndarray, cis=None) -> ExpertPanel:
-    """The panel of a read-only (k, n, n) stack that ``_check_stack`` passed, not checked again.
+    """The panel of a read-only (k, n, n) stack that passes ``_check_stack``, not checked again.
 
     Each matrix is a view of its slice; with ``cis``, each has its CI memoised.
     """
@@ -231,9 +232,9 @@ def resymmetrize(values) -> np.ndarray:
     """Force exact reciprocity on a (..., n, n) stack of nearly reciprocal matrices.
 
     Keeps each strict upper triangle, sets the diagonal to 1 and recomputes
-    the lower triangle as reciprocals.  Used when loading matrices printed
-    with rounded decimals; the caller checks that the upper entries are
-    positive.
+    the lower triangle as reciprocals, in a new read-only array.  Used when
+    loading matrices printed with rounded decimals; the caller checks that the
+    upper entries are positive.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
@@ -243,6 +244,7 @@ def resymmetrize(values) -> np.ndarray:
     out = np.ones_like(arr)
     out[..., i, j] = upper
     out[..., j, i] = 1.0 / upper
+    out.setflags(write=False)
     return out
 
 

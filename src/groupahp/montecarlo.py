@@ -10,7 +10,6 @@ much the schemes disturb an honest, unmanipulated panel.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import product
@@ -84,7 +83,6 @@ def _perturbed_stack(C: np.ndarray, alphas, rng: np.random.Generator, distributi
     del eps  # freed before resymmetrize makes the stack's full-size copy
     S = resymmetrize(S.reshape(-1, n, n))
     _check_stack(S)
-    S.setflags(write=False)
     return S
 
 
@@ -176,6 +174,7 @@ def _map(fn, items, workers: int):
     workers = min(workers, (len(items) + CHUNK - 1) // CHUNK, os.cpu_count() or 1)
     if workers <= 1:
         return [fn(x) for x in items]
+    from concurrent.futures import ProcessPoolExecutor  # on use: the import adds ~2 MB RSS
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=CHUNK))
 

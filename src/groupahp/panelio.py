@@ -19,11 +19,12 @@ import json
 import math
 from dataclasses import dataclass, field
 from importlib import resources
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, resymmetrize
+from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, _checked_panel, resymmetrize
 from .errors import DomainError, PanelParseError, ShapeError
 from .montecarlo import EPSILON_DISTRIBUTIONS, MAX_ALPHA, SATURATION
 from .robust import CredibilityScale2, CredibilityScale3, RobustConfig, credibility_from_matrix
@@ -37,12 +38,13 @@ MAX_CORPUS_ENTRIES = 50_000_000
 
 
 def _number_list(raw, size: int) -> bool:
-    # bool is an int subclass in Python but not a number in JSON
-    return isinstance(raw, list) and len(raw) == size and all(type(x) in (int, float) for x in raw)
+    # exact types: bool is an int subclass in Python but not a number in JSON
+    return isinstance(raw, list) and len(raw) == size and {*map(type, raw)} <= {int, float}
 
 
 def _number_grid(raw, n: int) -> bool:
-    return isinstance(raw, list) and len(raw) == n and all(_number_list(r, n) for r in raw)
+    return (isinstance(raw, list) and len(raw) == n and {*map(type, raw)} <= {list}
+            and {*map(len, raw)} <= {n} and {*map(type, chain.from_iterable(raw))} <= {int, float})
 
 
 def _read_object(path: str | Path) -> dict:
@@ -60,7 +62,8 @@ def _read_object(path: str | Path) -> dict:
 def _judgment_stack(grids: list, names: list[str]) -> np.ndarray:
     """Check k grids of n x n numbers as one (k, n, n) stack and re-symmetrize it.
 
-    A DomainError names the lowest failing grid by ``names[q]`` and the cell.
+    A DomainError names the lowest failing grid by ``names[q]`` and the cell.  The
+    read-only result passes ``core._check_stack``, so no caller checks it again.
     """
     A = np.array(grids, dtype=float)
     for bad, what in ((~(np.isfinite(A) & (A > 0.0)), "non-positive entry"),
@@ -101,7 +104,7 @@ def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
             raise PanelParseError(f"expert {eid!r}: matrix must be {n} rows of {n} numbers")
         ids.append(eid)
         grids.append(entry["matrix"])
-    return ExpertPanel.from_stack(_judgment_stack(grids, [f"expert {eid!r}" for eid in ids])), ids
+    return _checked_panel(_judgment_stack(grids, [f"expert {eid!r}" for eid in ids])), ids
 
 
 def load_panel(path: str | Path) -> tuple[ExpertPanel, list[str]]:

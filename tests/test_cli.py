@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 from io import StringIO
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -116,6 +121,64 @@ class TestInspect:
         assert capsys.readouterr().out.count("K=n/a") == 3
 
 
+class TestSharedParser:
+    """main parses every command of a process with one parser, which keeps no state
+    from one command to the next."""
+
+    def test_one_parser_per_process(self, panel_path):
+        assert cli.build_parser() is cli.build_parser()
+        assert main(["inspect", "--input", panel_path]) == 0
+        with mock.patch.object(cli.argparse, "ArgumentParser",
+                               side_effect=AssertionError("a second parser was built")):
+            assert main(["inspect", "--input", panel_path]) == 0
+
+    def test_a_flag_does_not_carry_over(self, five_alt_path, capsys):
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+        fresh = subprocess.run([sys.executable, "-m", "groupahp.cli", "attack", "--input",
+                                five_alt_path], capture_output=True, text=True, env=env,
+                               timeout=120)
+        assert fresh.returncode == 0
+        assert main(["attack", "--input", five_alt_path, "--max-bribes", "0"]) == 0
+        assert "success: False" in capsys.readouterr().out
+        assert main(["attack", "--input", five_alt_path]) == 0
+        assert capsys.readouterr().out == fresh.stdout
+
+    def test_a_seed_does_not_carry_over(self, tmp_path):
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({**SMALL_CONFIG, "seed": 3}))
+        common = ["--config", str(cfg), "--out"]
+        assert main(["experiment", "--which", "2", *common, str(tmp_path / "o"),
+                     "--seed", "5"]) == 0
+        assert main(["gen", *common, str(tmp_path / "unseeded")]) == 0
+        for seed in ("3", "5"):
+            assert main(["gen", *common, str(tmp_path / seed), "--seed", seed]) == 0
+
+        def corpus(name):
+            return [p.read_bytes() for p in sorted((tmp_path / name).glob("scenario_*.json"))]
+
+        assert corpus("unseeded") == corpus("3") != corpus("5")
+
+    def test_a_rejected_command_leaves_the_next_one_alone(self, panel_path, capsys):
+        assert main(["inspect", "--input", panel_path]) == 0
+        before = capsys.readouterr().out
+        with pytest.raises(SystemExit) as info:
+            main(["aggregate"])
+        assert info.value.code == 2
+        assert "--input" in capsys.readouterr().err
+        assert main(["inspect", "--input", panel_path]) == 0
+        assert capsys.readouterr().out == before
+
+
+def test_only_a_pool_imports_multiprocessing():
+    # experiment 2 with workers > 1 imports concurrent.futures when it starts its pool
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    code = ("import sys, groupahp.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                         timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+
+
 class TestExperiment:
     @pytest.mark.parametrize("which", ["1", "2"])
     def test_writes_csvs(self, which, small_config, tmp_path, capsys):
@@ -179,7 +242,7 @@ class TestExperiment:
                          "--workers", workers, "--out", str(out_dir)]) == 0
             outputs.append([(out_dir / f).read_bytes() for f in ("records.csv", "summary.csv")]
                            + [capsys.readouterr().out])
-            monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", pool_must_not_start)
+            monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_must_not_start)
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("workers", ["0", "-1"])

@@ -247,6 +247,7 @@ class TestConstruction:
         m = PCMatrix(resymmetrize(rounded))
         assert m.values[0, 1] == 0.333
         assert m.values[1, 0] == pytest.approx(1 / 0.333, abs=0)
+        assert not resymmetrize(rounded).flags.writeable and rounded.flags.writeable
 
     @given(positive_weights)
     @settings(max_examples=50)

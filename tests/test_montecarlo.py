@@ -192,7 +192,7 @@ class TestPoolSize:
         ],
     )
     def test_pool_size_is_bounded(self, monkeypatch, workers, items, cpus, size):
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
         monkeypatch.setattr(FakePool, "sizes", [])
         assert montecarlo._map(abs, range(-items, 0), workers) == list(range(items, 0, -1))
@@ -259,7 +259,7 @@ class TestExperiments:
             sizes.append(max_workers)
             return ProcessPoolExecutor(max_workers=max_workers)
 
-        monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", recording_pool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_pool)
         monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
         assert experiment2(corpus, workers=2) == experiment2(corpus)
         assert sizes == [2]

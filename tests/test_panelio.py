@@ -3,25 +3,42 @@ import os
 import subprocess
 import sys
 import zipfile
+from contextlib import redirect_stdout
+from importlib import resources
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import groupahp
 from groupahp import (
     CredibilityScale3,
     DomainError,
+    ExpertPanel,
     GroupAHPError,
     RunConfig,
     ShapeError,
     bundled_panel,
+    cli,
+    core,
     load_config,
     load_panel,
+    panelio,
     pcm_from_upper_triangle,
+    resymmetrize,
     save_panel,
 )
-from groupahp.panelio import PanelParseError, panel_document, parse_panel
+from groupahp.panelio import (
+    PanelParseError,
+    _judgment_stack,
+    _number_grid,
+    _number_list,
+    panel_document,
+    parse_panel,
+)
 
 
 def write_json(tmp_path, doc, name="panel.json"):
@@ -268,6 +285,156 @@ class TestLoadSave:
         run = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": str(archive)})
         assert (run.returncode, run.stdout, run.stderr) == (0, "[8, 4]\n", "")
+
+
+def reference_number_list(raw, size: int) -> bool:
+    """The JSON type check of a row, one entry at a time."""
+    return isinstance(raw, list) and len(raw) == size and all(type(x) in (int, float) for x in raw)
+
+
+def reference_number_grid(raw, n: int) -> bool:
+    return isinstance(raw, list) and len(raw) == n and all(reference_number_list(r, n) for r in raw)
+
+
+numbers = st.integers(-(10**20), 10**20) | st.floats(allow_nan=True, allow_infinity=True)
+json_values = st.recursive(
+    numbers | st.booleans() | st.text(max_size=2) | st.none(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=6,
+)
+
+
+@st.composite
+def number_rows(draw, size):
+    """``size`` numbers, then maybe one entry swapped for another JSON value."""
+    row = draw(st.lists(numbers, min_size=size, max_size=size))
+    if row and draw(st.booleans()):
+        row[draw(st.integers(0, size - 1))] = draw(json_values)
+    return row
+
+
+@st.composite
+def near_grids(draw):
+    """An n x n grid of numbers, n in 0..6, with at most one cell, row or length broken,
+    or another JSON value in its place (ragged rows, nested lists, bools, strings, None,
+    dicts); returns the grid and n."""
+    n = draw(st.integers(0, 6))
+    grid = [draw(st.lists(numbers, min_size=n, max_size=n)) for _ in range(n)]
+    defect = draw(st.sampled_from(["none", "cell", "row", "short", "long", "value"]))
+    if defect == "value":
+        grid = draw(json_values)
+    elif defect == "long" and (not grid or draw(st.booleans())):
+        grid.insert(draw(st.integers(0, n)), draw(number_rows(draw(st.integers(0, 6)))))
+    elif grid and defect in ("short", "long"):  # one row one number short or long
+        row = grid[draw(st.integers(0, n - 1))]
+        row.pop() if defect == "short" else row.append(draw(numbers))
+    elif grid and defect != "none":
+        q = draw(st.integers(0, n - 1))
+        grid[q] = draw(number_rows(n)) if defect == "cell" else draw(json_values)
+    return grid, n
+
+
+class TestTypeChecks:
+    """The set-based JSON type checks accept exactly what the per-entry checks accept."""
+
+    @given(raw=st.integers(0, 6).flatmap(number_rows) | json_values, size=st.integers(0, 6))
+    @example(raw=[1, 2.5, True], size=3)
+    @example(raw=[], size=0)
+    @example(raw=[[1]], size=1)
+    @settings(max_examples=300, deadline=None)
+    def test_number_list(self, raw, size):
+        assert _number_list(raw, size) == reference_number_list(raw, size)
+        if isinstance(raw, list):
+            assert _number_list(raw, len(raw)) == reference_number_list(raw, len(raw))
+
+    @given(grid_n=near_grids(), other=st.integers(0, 6))
+    @example(grid_n=([[1, True], [0.5, 1]], 2), other=2)
+    @example(grid_n=([], 0), other=0)
+    @example(grid_n=([[]], 1), other=0)
+    @example(grid_n=([[1, 2], [0.5]], 2), other=2)
+    @example(grid_n=([[1, 2], {}], 2), other=2)
+    @example(grid_n=([[1, None], [1, 1]], 2), other=2)
+    @example(grid_n=([[1, "2"], [1, 1]], 2), other=2)
+    @example(grid_n=([[1, [2]], [1, 1]], 2), other=2)
+    @settings(max_examples=300, deadline=None)
+    def test_number_grid(self, grid_n, other):
+        grid, n = grid_n
+        for size in (n, other):
+            assert _number_grid(grid, size) == reference_number_grid(grid, size)
+
+
+@pytest.fixture(scope="module")
+def panel_paths(tmp_path_factory):
+    """The two bundled panels and three panel files written by gen (n = 3, 5, 7)."""
+    out = tmp_path_factory.mktemp("corpus")
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps({"counts": {"3": 1, "5": 1, "7": 1}, "alpha_stop": 1.1,
+                               "panel_size": 4}))
+    with redirect_stdout(StringIO()):
+        assert cli.main(["gen", "--config", str(cfg), "--out", str(out)]) == 0
+    bundled = [str(resources.files("groupahp.data") / f"{name}.json")
+               for name in ("eight_expert_panel", "bribery_demo_panel")]
+    return bundled + sorted(map(str, out.glob("scenario_*.json")))
+
+
+class TestOneStackCheck:
+    """A loaded panel wraps the loader's own checked, read-only stack:
+    ExpertPanel.from_stack's copy and core._check_stack do not run again."""
+
+    def test_loaded_stack_is_the_checked_stack(self, panel_paths, monkeypatch):
+        original, returned = panelio._judgment_stack, []
+
+        def judgment_stack(grids, names):
+            returned.append(original(grids, names))
+            return returned[-1]
+
+        monkeypatch.setattr(panelio, "_judgment_stack", judgment_stack)
+        for path in panel_paths:
+            grids = [e["matrix"] for e in json.loads(Path(path).read_text())["experts"]]
+            want = ExpertPanel.from_stack(resymmetrize(grids)).stack
+            panel, _ = load_panel(path)
+            got = panel.stack
+            assert got is returned[-1]  # not a copy
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+            assert not got.flags.writeable
+            assert all(m.values.base is got and not m.values.flags.writeable
+                       for m in panel.matrices)
+
+    def test_load_runs_no_core_stack_check(self, panel_paths, monkeypatch):
+        def check_stack(A):
+            raise AssertionError("a loaded stack was checked again")
+
+        monkeypatch.setattr(core, "_check_stack", check_stack)
+        for path in panel_paths:
+            assert load_panel(path)[0].k >= 1
+        assert bundled_panel("eight_expert_panel")[0].k == 8
+
+    @given(
+        n=st.integers(2, 30),
+        k=st.integers(1, 3),
+        kind=st.sampled_from(["bounds", "rounded", "jittered"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_every_returned_stack_passes_the_core_check(self, n, k, kind, seed):
+        rng = np.random.default_rng(seed)
+        i, j = np.triu_indices(n, k=1)
+        A = np.ones((k, n, n))
+        if kind == "bounds":  # judgments at and next to 1e-100 and 1e100
+            A[:, i, j] = rng.choice([1e-100, 1.5e-100, 1.0, 6.5e99, 1e100], (k, i.size))
+            A[:, j, i] = 1.0 / A[:, i, j]
+        elif kind == "rounded":  # a 1/9..9 matrix printed to 3 decimals: within 1e-2
+            A[:, i, j] = rng.choice([1 / 9, 1 / 7, 1 / 3, 1.0, 2.0, 7.0, 9.0], (k, i.size))
+            A[:, j, i] = 1.0 / A[:, i, j]
+            A = A.round(3)
+        else:  # any magnitude, each pair and the diagonal off by less than 1e-2
+            A[:, i, j] = 10.0 ** rng.uniform(-99, 99, (k, i.size))
+            A[:, j, i] = (1.0 + rng.uniform(-0.009, 0.009, (k, i.size))) / A[:, i, j]
+            A[:, range(n), range(n)] = 1.0 + rng.uniform(-0.004, 0.004, (k, n))
+        S = _judgment_stack(A.tolist(), [f"expert {q}" for q in range(k)])
+        assert not S.flags.writeable
+        core._check_stack(S)
 
 
 class TestRunConfig:
