@@ -16,15 +16,14 @@ from itertools import product
 
 import numpy as np
 
-from .aggregate import _wgm_stack, aggregate_panel
+from .aggregate import aggregate_panel
 from .attack import SATURATION, _attack_stack
-from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack,
+from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_stack,
                    _checked_panel, consistent_matrix_from_priorities, resymmetrize)
 from .errors import DomainError, EmptyReportError
 from .inconsistency import _stack_cis, panel_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
-from .robust import (METHODS, RobustConfig, _aid_stack, _apdd_stack, _centred, _metric,
-                     _mx_stack, robust_aggregate)
+from .robust import METHODS, RobustConfig, _robust_aggregate_stack, robust_aggregate
 
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
@@ -187,9 +186,8 @@ def experiment1(
 ) -> list[dict]:
     """Attack every scenario, then score how well each scheme recovers.
 
-    Per panel shape: one stacked attack, one CI power iteration of the bribed
-    matrices, and one scoring per method.  Returns one flat row per scenario,
-    keyed by the records.csv columns.
+    Per panel shape: one stacked attack, one CI power iteration of the bribed matrices,
+    and one robust scoring of all methods.  One flat row per scenario, keyed by records.csv column.
     """
     groups: dict[tuple, list[int]] = {}
     for i, s in enumerate(scenarios):
@@ -197,15 +195,11 @@ def experiment1(
     rows: list[dict] = [{}] * len(scenarios)
     for idx in groups.values():
         A = np.stack([scenarios[i].panel.stack for i in idx])
-        queue, used, ok, ranking, honest, G, L = _attack_stack(A, max_bribes, saturation)
+        queue, used, ok, _, honest, G, L = _attack_stack(A, max_bribes, saturation)
         CI = np.array([panel_cis(scenarios[i].panel) for i in idx])
         p, b = np.nonzero(np.arange(queue.shape[1]) < used[:, None])
         CI[p, queue[p, b]] = _stack_cis(A[p, queue[p, b]])
-        W = {"APDD": _apdd_stack(_metric(config.metric)(ranking[:, None], G), config),
-             "AID": _aid_stack(_centred(CI), config)}
-        W["MX"] = _mx_stack(W["APDD"], W["AID"], config)
-        restored = {m: _check_rows(_wgm_stack(_check_rows(W[m], "expert weights", 1), L))
-                    for m in METHODS}
+        restored = dict(zip(METHODS, _robust_aggregate_stack(G, L, CI, config)))
         cells = {**{_column("class", m): _classify(honest, r) for m, r in restored.items()},
                  **{_column("manhattan", m): manhattan_mean(honest, r).tolist()
                     for m, r in restored.items()}}

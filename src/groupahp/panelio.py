@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, _checked_panel, resymmetrize
+from .core import MAX_JUDGMENT, ExpertPanel, _checked_panel, resymmetrize
 from .errors import DomainError, PanelParseError, ShapeError
 from .montecarlo import EPSILON_DISTRIBUTIONS, MAX_ALPHA, SATURATION
 from .robust import CredibilityScale2, CredibilityScale3, RobustConfig, credibility_from_matrix
@@ -223,8 +223,8 @@ def _parse_credibility(key: str, raw) -> CredibilityScale3:
     if not (_number_grid(raw, 3) if matrix else _number_list(raw, 3)):
         shape = "3 rows of 3" if matrix else "3"
         raise PanelParseError(f"config key {key!r} must be {shape} numbers, got {raw!r}")
-    if matrix:
-        raw = PCMatrix(_judgment_stack([raw], [f"config key {key!r}"])[0])
+    if matrix:  # the loader's stack passes _check_stack: wrapped, not checked again
+        raw = _checked_panel(_judgment_stack([raw], [f"config key {key!r}"])).matrices[0]
     try:
         return credibility_from_matrix(raw) if matrix else CredibilityScale3.from_ratios(*raw)
     except DomainError as exc:

@@ -13,8 +13,8 @@ from typing import Literal
 
 import numpy as np
 
-from .aggregate import _weighted_geometric_mean, aggregate_panel
-from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector
+from .aggregate import _weighted_geometric_mean, _wgm_stack, aggregate_panel
+from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, _check_rows
 from .derive import _panel_gmm_matrix, gmm_priorities
 from .errors import CredibilityOrderError, DomainError
 from .inconsistency import panel_cis
@@ -143,6 +143,17 @@ def _aid_stack(D: np.ndarray, config: RobustConfig) -> np.ndarray:
 
 def _mx_stack(R1: np.ndarray, R2: np.ndarray, config: RobustConfig) -> np.ndarray:
     return config.beta * R1 + (1.0 - config.beta) * R2
+
+
+def _robust_aggregate_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
+    """``robust_aggregate`` of S panels by each method, in METHODS order: (S, n) aggregates of
+    the (S, k, n) GMM vectors G, their logs L and (S, k) CIs.  APDD measures from each panel's
+    equal-weight aggregate.  Weights get ExpertWeights' checks, aggregates PriorityVector's."""
+    reference = _check_rows(_wgm_stack(np.full(CI.shape, 1.0 / CI.shape[1]), L))
+    apdd = _apdd_stack(_metric(config.metric)(reference[:, None], G), config)
+    aid = _aid_stack(_centred(CI), config)
+    return tuple(_check_rows(_wgm_stack(_check_rows(W, "expert weights", 1), L))
+                 for W in (apdd, aid, _mx_stack(apdd, aid, config)))
 
 
 def apdd_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:

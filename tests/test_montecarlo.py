@@ -12,8 +12,10 @@ from groupahp import (
     PriorityVector,
     RobustConfig,
     Scenario,
+    aggregate_panel,
     consistent_matrix_from_priorities,
     generate_corpus,
+    kendall_tau_distance,
     load_panel,
     manhattan_mean,
     panel_mean_ci,
@@ -466,3 +468,38 @@ class TestExperiment1Arrays:
     def test_rejects_saturation_up_to_one(self, small_corpus, saturation):
         with pytest.raises(DomainError, match="saturation"):
             experiment1(small_corpus, max_bribes=0, saturation=saturation)
+
+
+def experiment2_one_at_a_time(scenario, config) -> dict:
+    """Experiment 2's row for one scenario, from the single-panel API."""
+    honest = aggregate_panel(scenario.panel)
+    restored = {m: robust_aggregate(scenario.panel, m, config) for m in METHODS}
+    return {
+        "scenario_id": scenario.scenario_id,
+        "mean_ci": scenario.mean_ci,
+        **{f"manhattan_{m.lower()}": manhattan_mean(honest, r) for m, r in restored.items()},
+        **{f"kendall_{m.lower()}": kendall_tau_distance(honest, r) for m, r in restored.items()},
+    }
+
+
+class TestExperiment2Rows:
+    """Each experiment-2 row must be the one the single-panel API gives for its scenario:
+    the same columns in the same order, each of the same type and value, bit for bit."""
+
+    @given(
+        draws=scenario_draws,
+        shared_k=st.one_of(st.none(), st.integers(1, 24)),
+        metric=st.sampled_from(["manhattan", "euclidean", "chebyshev"]),
+        beta=st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_match_the_single_panel_api(self, draws, shared_k, metric, beta):
+        scenarios = [drawn_scenario(sid, n, shared_k or k, alpha, seed)
+                     for sid, (n, k, alpha, seed) in enumerate(draws)]
+        config = RobustConfig(beta=beta, metric=metric)
+
+        def typed(row):
+            return [(column, type(v), v) for column, v in row.items()]
+
+        assert [typed(r) for r in experiment2(scenarios, config)] == [
+            typed(experiment2_one_at_a_time(s, config)) for s in scenarios]

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import groupahp
 from groupahp import (
+    EXAMPLE_CREDIBILITY_MATRIX,
     CredibilityScale3,
     DomainError,
     ExpertPanel,
@@ -24,6 +25,7 @@ from groupahp import (
     bundled_panel,
     cli,
     core,
+    credibility_from_matrix,
     load_config,
     load_panel,
     panelio,
@@ -379,8 +381,8 @@ def panel_paths(tmp_path_factory):
 
 
 class TestOneStackCheck:
-    """A loaded panel wraps the loader's own checked, read-only stack:
-    ExpertPanel.from_stack's copy and core._check_stack do not run again."""
+    """A loaded panel, or a config's credibility matrix, wraps the loader's own checked,
+    read-only stack: ExpertPanel.from_stack's copy and core._check_stack do not run again."""
 
     def test_loaded_stack_is_the_checked_stack(self, panel_paths, monkeypatch):
         original, returned = panelio._judgment_stack, []
@@ -409,6 +411,17 @@ class TestOneStackCheck:
         for path in panel_paths:
             assert load_panel(path)[0].k >= 1
         assert bundled_panel("eight_expert_panel")[0].k == 8
+
+    def test_credibility_matrix_runs_no_core_stack_check(self, tmp_path, monkeypatch):
+        doc = {"credibility_matrix": EXAMPLE_CREDIBILITY_MATRIX.values.tolist()}
+        path = write_json(tmp_path, doc, "cfg.json")
+        want = credibility_from_matrix(EXAMPLE_CREDIBILITY_MATRIX)
+
+        def check_stack(A):
+            raise AssertionError("a loaded credibility matrix was checked again")
+
+        monkeypatch.setattr(core, "_check_stack", check_stack)
+        assert load_config(path).robust.scale3 == want
 
     @given(
         n=st.integers(2, 30),
