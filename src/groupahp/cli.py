@@ -16,11 +16,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .aggregate import aggregate_panel
-from .attack import run_attack
-from .derive import panel_gmm
+from .aggregate import _wgm_stack
+from .attack import _attack_stack
+from .core import _check_rows, _checked_panel
+from .derive import _checked_gmm
 from .errors import DomainError, GroupAHPError, PanelParseError
-from .inconsistency import _stack_k, panel_cis
+from .inconsistency import _stack_cis, _stack_k
 from .montecarlo import (
     Scenario,
     experiment1,
@@ -29,8 +30,8 @@ from .montecarlo import (
     headline_stats,
     summarize,
 )
-from .panelio import RunConfig, check_value, load_config, load_panel, panel_document, save_panel
-from .robust import METHODS, method_weights
+from .panelio import RunConfig, _load_stack, check_value, load_config, panel_document, save_panel
+from .robust import METHODS, _robust_weights_stack
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -41,8 +42,8 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _print_vector(label: str, w) -> None:
-    print(f"{label}: [{', '.join(_fmt(x) for x in np.asarray(w))}]")
+def _print_vector(label: str, w: np.ndarray) -> None:
+    print(f"{label}: [{', '.join(map(_fmt, w.tolist()))}]")
 
 
 def _load_config(args) -> RunConfig:
@@ -56,44 +57,49 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_aggregate(args) -> int:
-    panel, ids = load_panel(args.input)
+    A, ids = _load_stack(args.input)
     config = _load_config(args)
-    print(f"panel: {panel.k} experts, {panel.n} alternatives")
-    for eid, v in zip(ids, panel_gmm(panel)):
-        _print_vector(f"priorities {eid}", v.weights)
-    for eid, ci in zip(ids, panel_cis(panel)):
+    print(f"panel: {len(A)} experts, {A.shape[1]} alternatives")
+    G = _checked_gmm(A)
+    for eid, v in zip(ids, G):
+        _print_vector(f"priorities {eid}", v)
+    CI = _stack_cis(A)
+    for eid, ci in zip(ids, CI.tolist()):
         print(f"CI {eid}: {_fmt(ci)}")
-    weights = None
+    L, W = np.log(G)[None], np.full((1, len(A)), 1.0 / len(A))
     if args.method != "CLASSIC":
-        weights = method_weights(panel, args.method, config.robust)
-        _print_vector("expert weights", weights.r)
-    final = aggregate_panel(panel, weights)
-    _print_vector(f"final ranking ({args.method})", final.weights)
-    order = final.ranking()
+        W = _robust_weights_stack(G[None], L, CI[None], config.robust)[METHODS.index(args.method)]
+        _print_vector("expert weights", W[0])
+    final = _check_rows(_wgm_stack(W, L))[0]
+    _print_vector(f"final ranking ({args.method})", final)
+    order = np.argsort(-final, kind="stable").tolist()  # ties as PriorityVector.ranking breaks them
     print("order:", " > ".join(f"a{i + 1}" for i in order))
-    print(f"winner: a{order[0] + 1} ({_fmt(final.weights[order[0]])})")
+    print(f"winner: a{order[0] + 1} ({_fmt(final[order[0]])})")
     return 0
 
 
 def cmd_attack(args) -> int:
-    panel, ids = load_panel(args.input)
+    A, ids = _load_stack(args.input)
     config = _load_config(args)
-    outcome = run_attack(panel, config.max_bribes, config.saturation)
-    _print_vector("honest aggregate", outcome.honest_ranking.weights)
-    print("bribed:", [ids[q] for q in outcome.bribed_indices])
-    _print_vector("manipulated ranking", outcome.manipulated_ranking.weights)
-    print("success:", outcome.succeeded)
+    M = A[None].copy()
+    queue, used, ok, ranking, honest, _, _ = _attack_stack(M, config.max_bribes, config.saturation)
+    if args.out:  # a failed write prints nothing
+        M.setflags(write=False)
+        save_panel(args.out, _checked_panel(M[0]), ids)
+    _print_vector("honest aggregate", honest[0])
+    print("bribed:", [ids[q] for q in queue[0, :used[0]].tolist()])
+    _print_vector("manipulated ranking", ranking[0])
+    print("success:", bool(ok[0]))
     if args.out:
-        save_panel(args.out, outcome.manipulated_panel, ids)
         print("manipulated panel written to", args.out)
     return 0
 
 
 def cmd_inspect(args) -> int:
-    panel, ids = load_panel(args.input)
-    print(f"panel: {panel.k} experts, {panel.n} alternatives")
-    ks = map(_fmt, _stack_k(panel.stack).tolist()) if panel.n >= 3 else ["n/a"] * panel.k
-    for eid, ci, k in zip(ids, panel_cis(panel), ks):
+    A, ids = _load_stack(args.input)
+    print(f"panel: {len(A)} experts, {A.shape[1]} alternatives")
+    ks = map(_fmt, _stack_k(A).tolist()) if A.shape[1] >= 3 else ["n/a"] * len(A)
+    for eid, ci, k in zip(ids, _stack_cis(A).tolist(), ks):
         print(f"{eid}: CI={_fmt(ci)} K={k}")
     return 0
 

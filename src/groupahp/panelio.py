@@ -4,12 +4,13 @@ Panel files are JSON::
 
     { "n": 4, "experts": [ { "id": "e1", "matrix": [[...], ...] }, ... ] }
 
-Each expert entry's JSON types and shape are checked first (exit 2).  The
-values of all k matrices are then checked as one (k, n, n) stack: positive
-finite entries first, then entries within [1e-100, 1e100] (MAX_JUDGMENT), then
-c_ij * c_ji = 1 within 1e-2, as printed matrices are rounded.  Errors name the
-lowest failing expert and the cell (exit 3).  The stack is re-symmetrized from
-its upper triangles, with the diagonal reset to 1.
+The JSON types and shapes of all k matrices are checked in one set test; only if
+it fails are the experts walked to name the lowest failing one (exit 2).  Ids
+must be unique (exit 2).  The values are then checked as one (k, n, n) stack:
+positive finite entries, then entries within [1e-100, 1e100] (MAX_JUDGMENT),
+then c_ij * c_ji = 1 within 1e-2, as printed matrices are rounded.  Errors name
+the lowest failing expert and the cell (exit 3).  The stack is re-symmetrized
+from its upper triangles, with the diagonal reset to 1.
 A config's ``credibility_matrix`` is checked and repaired the same way.
 """
 
@@ -42,9 +43,17 @@ def _number_list(raw, size: int) -> bool:
     return isinstance(raw, list) and len(raw) == size and {*map(type, raw)} <= {int, float}
 
 
+def _cells(grids: list, n: int) -> list | None:
+    """The cells of the grids, row by row, if each grid is n rows of n numbers; else None."""
+    for _ in range(2):  # the grids, then their rows: lists of n entries
+        if not ({*map(type, grids)} <= {list} and {*map(len, grids)} <= {n}):
+            return None
+        grids = list(chain.from_iterable(grids))
+    return grids if {*map(type, grids)} <= {int, float} else None
+
+
 def _number_grid(raw, n: int) -> bool:
-    return (isinstance(raw, list) and len(raw) == n and {*map(type, raw)} <= {list}
-            and {*map(len, raw)} <= {n} and {*map(type, chain.from_iterable(raw))} <= {int, float})
+    return _cells([raw], n) is not None
 
 
 def _read_object(path: str | Path) -> dict:
@@ -65,7 +74,7 @@ def _judgment_stack(grids: list, names: list[str]) -> np.ndarray:
     A DomainError names the lowest failing grid by ``names[q]`` and the cell.  The
     read-only result passes ``core._check_stack``, so no caller checks it again.
     """
-    A = np.array(grids, dtype=float)
+    A = np.asarray(grids, dtype=float)
     for bad, what in ((~(np.isfinite(A) & (A > 0.0)), "non-positive entry"),
                       ((A < 1.0 / MAX_JUDGMENT) | (A > MAX_JUDGMENT),
                        f"entry outside [{1.0 / MAX_JUDGMENT:g}, {MAX_JUDGMENT:g}]")):
@@ -85,7 +94,8 @@ def _judgment_stack(grids: list, names: list[str]) -> np.ndarray:
     return resymmetrize(A)
 
 
-def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
+def _parse_stack(doc: dict) -> tuple[np.ndarray, list[str]]:
+    """The checked, read-only, re-symmetrized (k, n, n) stack of a panel document, and its ids."""
     n, experts = doc.get("n"), doc.get("experts")
     if type(n) is not int:
         raise PanelParseError(f"'n' must be an integer, got {n!r}")
@@ -93,18 +103,32 @@ def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
         raise DomainError(f"'n' must lie in 2..{MAX_ALTERNATIVES}, got {n}")
     if not (isinstance(experts, list) and experts):
         raise PanelParseError("'experts' must be a non-empty list")
-    ids, grids = [], []
-    for q, entry in enumerate(experts):
-        if not isinstance(entry, dict):
-            raise PanelParseError(f"expert #{q + 1}: entry must be an object, got {entry!r}")
-        eid = str(entry.get("id", f"e{q + 1}"))
-        if "matrix" not in entry:
-            raise PanelParseError(f"expert {eid!r}: missing 'matrix' field")
-        if not _number_grid(entry["matrix"], n):
-            raise PanelParseError(f"expert {eid!r}: matrix must be {n} rows of {n} numbers")
-        ids.append(eid)
-        grids.append(entry["matrix"])
-    return _checked_panel(_judgment_stack(grids, [f"expert {eid!r}" for eid in ids])), ids
+    cells = _cells([e.get("matrix") if isinstance(e, dict) else None for e in experts], n)
+    if cells is None:  # name the lowest failing expert
+        for q, entry in enumerate(experts):
+            if not isinstance(entry, dict):
+                raise PanelParseError(f"expert #{q + 1}: entry must be an object, got {entry!r}")
+            eid = str(entry.get("id", f"e{q + 1}"))
+            if "matrix" not in entry:
+                raise PanelParseError(f"expert {eid!r}: missing 'matrix' field")
+            if not _number_grid(entry["matrix"], n):
+                raise PanelParseError(f"expert {eid!r}: matrix must be {n} rows of {n} numbers")
+    ids = [str(entry.get("id", f"e{q + 1}")) for q, entry in enumerate(experts)]
+    if len({*ids}) < len(ids):
+        q = next(q for q, eid in enumerate(ids) if eid in ids[:q])
+        first = ids.index(ids[q]) + 1
+        raise PanelParseError(f"expert #{q + 1}: id {ids[q]!r} repeats expert #{first}")
+    A = np.array(cells, dtype=float).reshape(len(ids), n, n)
+    return _judgment_stack(A, [f"expert {eid!r}" for eid in ids]), ids
+
+
+def _load_stack(path: str | Path) -> tuple[np.ndarray, list[str]]:
+    return _parse_stack(_read_object(path))
+
+
+def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
+    A, ids = _parse_stack(doc)
+    return _checked_panel(A), ids
 
 
 def load_panel(path: str | Path) -> tuple[ExpertPanel, list[str]]:

@@ -145,15 +145,20 @@ def _mx_stack(R1: np.ndarray, R2: np.ndarray, config: RobustConfig) -> np.ndarra
     return config.beta * R1 + (1.0 - config.beta) * R2
 
 
-def _robust_aggregate_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
-    """``robust_aggregate`` of S panels by each method, in METHODS order: (S, n) aggregates of
-    the (S, k, n) GMM vectors G, their logs L and (S, k) CIs.  APDD measures from each panel's
-    equal-weight aggregate.  Weights get ExpertWeights' checks, aggregates PriorityVector's."""
+def _robust_weights_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
+    """The (S, k) expert weights of S panels by each method, in METHODS order, from the
+    (S, k, n) GMM vectors G, their logs L and (S, k) CIs.  APDD measures from each panel's
+    equal-weight aggregate.  Each weight matrix gets ExpertWeights' checks."""
     reference = _check_rows(_wgm_stack(np.full(CI.shape, 1.0 / CI.shape[1]), L))
     apdd = _apdd_stack(_metric(config.metric)(reference[:, None], G), config)
     aid = _aid_stack(_centred(CI), config)
-    return tuple(_check_rows(_wgm_stack(_check_rows(W, "expert weights", 1), L))
+    return tuple(_check_rows(W, "expert weights", 1)
                  for W in (apdd, aid, _mx_stack(apdd, aid, config)))
+
+
+def _robust_aggregate_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
+    """``robust_aggregate`` of S panels by each method: ``_robust_weights_stack``'s aggregates."""
+    return tuple(_check_rows(_wgm_stack(W, L)) for W in _robust_weights_stack(G, L, CI, config))
 
 
 def apdd_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:

@@ -15,9 +15,25 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from groupahp import bundled_panel, cli, koczkodaj_k, montecarlo, pcm_from_upper_triangle
+from groupahp import (
+    RobustConfig,
+    aggregate_panel,
+    bundled_panel,
+    cli,
+    core,
+    koczkodaj_k,
+    load_panel,
+    method_weights,
+    montecarlo,
+    panel_cis,
+    panel_gmm,
+    pcm_from_upper_triangle,
+    run_attack,
+    save_panel,
+)
 from groupahp.cli import _fmt, main
 from groupahp.inconsistency import _stack_k
+from groupahp.robust import METHODS
 from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
@@ -27,6 +43,9 @@ SLOW_EVM_PANEL = json.dumps({"n": 4, "experts": [
     {"matrix": pcm_from_upper_triangle(4, upper).values.tolist()}
     for upper in ([2, 3, 4, 2, 3, 2], SLOW_EVM_UPPER)
 ]})
+
+
+BRIBERY_DEMO_PATH = str(resources.files("groupahp.data") / "bribery_demo_panel.json")
 
 
 def pool_must_not_start(*args, **kwargs):
@@ -119,6 +138,104 @@ class TestInspect:
         path.write_text(json.dumps({"n": 2, "experts": [{"matrix": [[1, 2], [0.5, 1]]}] * 3}))
         assert main(["inspect", "--input", str(path)]) == 0
         assert capsys.readouterr().out.count("K=n/a") == 3
+
+
+def _line(label: str, w) -> str:
+    return f"{label}: [{', '.join(f'{float(x):.6g}' for x in w)}]"
+
+
+@pytest.fixture(scope="module")
+def identity_panels(tmp_path_factory):
+    """Both bundled panels, a gen corpus with one panel for each n from 2 to 7, and a panel
+    of one expert."""
+    out = tmp_path_factory.mktemp("identity")
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps({"counts": {str(n): 1 for n in range(2, 8)}, "alpha_start": 2.5,
+                               "alpha_stop": 2.5, "panel_size": 5, "seed": 11}))
+    with redirect_stdout(StringIO()):
+        assert main(["gen", "--config", str(cfg), "--out", str(out / "corpus")]) == 0
+    solo = out / "solo.json"
+    doc = json.loads((resources.files("groupahp.data") / "bribery_demo_panel.json").read_text())
+    solo.write_text(json.dumps({"n": doc["n"], "experts": [{**doc["experts"][1], "id": "solo"}]}))
+    bundled = [str(resources.files("groupahp.data") / f"{name}.json")
+               for name in ("eight_expert_panel", "bribery_demo_panel")]
+    return bundled + sorted(map(str, (out / "corpus").glob("scenario_*.json"))) + [str(solo)]
+
+
+class TestOutputBytes:
+    """inspect, aggregate and attack print, byte for byte, what the single-panel API gives;
+    attack --out writes what save_panel writes.  inspect and aggregate run on the loaded
+    stack, without the API's domain objects."""
+
+    def test_inspect(self, identity_panels, capsys):
+        for path in identity_panels:
+            panel, ids = load_panel(path)
+            ks = ([f"{koczkodaj_k(m):.6g}" for m in panel.matrices] if panel.n >= 3
+                  else ["n/a"] * panel.k)
+            want = [f"panel: {panel.k} experts, {panel.n} alternatives"]
+            want += [f"{eid}: CI={ci:.6g} K={k}" for eid, ci, k in zip(ids, panel_cis(panel), ks)]
+            assert main(["inspect", "--input", path]) == 0
+            assert capsys.readouterr().out == "\n".join(want) + "\n", path
+
+    def test_aggregate(self, identity_panels, tmp_path, capsys):
+        configs = []
+        for metric in ("manhattan", "euclidean", "chebyshev"):
+            for beta in (0, 0.5, 1):
+                cfg = tmp_path / f"{metric}-{beta}.json"
+                cfg.write_text(json.dumps({"metric": metric, "beta": beta}))
+                configs.append((str(cfg), RobustConfig(beta=beta, metric=metric)))
+        for path in identity_panels:
+            panel, ids = load_panel(path)
+            head = [f"panel: {panel.k} experts, {panel.n} alternatives"]
+            head += [_line(f"priorities {eid}", v.weights) for eid, v in zip(ids, panel_gmm(panel))]
+            head += [f"CI {eid}: {ci:.6g}" for eid, ci in zip(ids, panel_cis(panel))]
+            for method in ("CLASSIC", *METHODS):
+                for cfg, robust in configs:
+                    want, weights = list(head), None
+                    if method != "CLASSIC":
+                        weights = method_weights(panel, method, robust)
+                        want.append(_line("expert weights", weights.r))
+                    final = aggregate_panel(panel, weights)
+                    order = final.ranking().tolist()
+                    want += [_line(f"final ranking ({method})", final.weights),
+                             "order: " + " > ".join(f"a{i + 1}" for i in order),
+                             f"winner: a{order[0] + 1} ({final.weights[order[0]]:.6g})"]
+                    argv = ["aggregate", "--input", path, "--method", method, "--config", cfg]
+                    assert main(argv) == 0
+                    assert capsys.readouterr().out == "\n".join(want) + "\n", (path, method, cfg)
+
+    @pytest.mark.parametrize("command", [["inspect"], *(["aggregate", "--method", m]
+                                                        for m in ("CLASSIC", *METHODS))],
+                             ids=["inspect", "CLASSIC", "APDD", "AID", "MX"])
+    def test_inspect_and_aggregate_build_no_domain_objects(self, command, identity_panels,
+                                                           monkeypatch):
+        def build(*args, **kwargs):
+            raise AssertionError("a PCMatrix, PriorityVector or ExpertPanel was built")
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("groupahp.")]:
+            for name in ("_checked_panel", "_unchecked"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, build)
+        for cls in (core.PCMatrix, core.PriorityVector, core.ExpertPanel, core.ExpertWeights):
+            monkeypatch.setattr(cls, "__post_init__", build)
+        with redirect_stdout(StringIO()):
+            for path in identity_panels:
+                assert main([*command, "--input", path]) == 0
+
+    def test_attack(self, identity_panels, tmp_path, capsys):
+        for q, path in enumerate(identity_panels):
+            panel, ids = load_panel(path)
+            outcome = run_attack(panel)
+            got_file, want_file = tmp_path / f"got{q}.json", tmp_path / f"want{q}.json"
+            save_panel(want_file, outcome.manipulated_panel, ids)
+            want = [_line("honest aggregate", outcome.honest_ranking.weights),
+                    f"bribed: {[ids[b] for b in outcome.bribed_indices]}",
+                    _line("manipulated ranking", outcome.manipulated_ranking.weights),
+                    f"success: {outcome.succeeded}",
+                    f"manipulated panel written to {got_file}"]
+            assert main(["attack", "--input", path, "--out", str(got_file)]) == 0
+            assert capsys.readouterr().out == "\n".join(want) + "\n", path
+            assert got_file.read_bytes() == want_file.read_bytes(), path
 
 
 class TestSharedParser:
@@ -284,15 +401,18 @@ class TestExitCodes:
         assert "i/o error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command", [["experiment", "--which", "2"], ["gen"]], ids=["experiment", "gen"]
+        "command",
+        [["experiment", "--which", "2"], ["gen"], ["attack", "--input", BRIBERY_DEMO_PATH]],
+        ids=["experiment", "gen", "attack"],
     )
     def test_unwritable_out_dir(self, command, small_config, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
         out_dir = blocker / "o"
         assert main([*command, "--config", small_config, "--out", str(out_dir)]) == 4
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("i/o error") and str(out_dir) in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "command", [["inspect"], ["aggregate"], ["aggregate", "--method", "MX"]]
@@ -380,6 +500,11 @@ class TestMalformedInput:
             ({"n": 101, "experts": [{"matrix": []}]}, 3, "'n'"),
             ({"n": 2, "experts": [{"id": "bob", "matrix": [[1, 1e200], [1e-200, 1]]}]}, 3,
              "bob': entry outside [1e-100, 1e+100] at row 1, column 2"),
+            ({"n": 2, "experts": [{"matrix": [[1, 2], [0.5, 1]]}, {"id": "e1", "matrix": [[1]]}]},
+             2, "expert 'e1': matrix must be 2 rows of 2 numbers"),
+            ({"n": 2, "experts": [{"matrix": [[1, 2], [0.5, 1]]},
+                                  {"id": "e1", "matrix": [[1, 1], [1, 1]]}]},
+             2, "expert #2: id 'e1' repeats expert #1"),
         ],
     )
     def test_panel(self, doc, code, key, tmp_path, capsys):

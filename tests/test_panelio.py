@@ -136,6 +136,34 @@ def drop_matrix(entry):
     return entry
 
 
+def set_matrix(value):
+    def apply(entry):
+        entry["matrix"] = value
+        return entry
+    return apply
+
+
+def set_row(i, value):
+    def apply(entry):
+        entry["matrix"][i] = value
+        return entry
+    return apply
+
+
+def append_to(row):
+    def apply(entry):
+        (entry["matrix"] if row is None else entry["matrix"][row]).append(1)
+        return entry
+    return apply
+
+
+def set_id(eid):
+    def apply(entry):
+        entry["id"] = eid
+        return entry
+    return apply
+
+
 GRID_ERROR = (PanelParseError, "expert 'c': matrix must be 3 rows of 3 numbers")
 
 
@@ -166,9 +194,22 @@ class TestStackMessages:
             (drop_matrix, PanelParseError, "expert 'c': missing 'matrix' field"),
             (lambda entry: entry["matrix"], PanelParseError,
              "expert #3: entry must be an object, got [[1, 2, 4], [0.5, 1, 2], [0.25, 0.5, 1]]"),
+            # each branch of the bulk type test
+            (set_matrix({"0": [1, 2, 4]}), *GRID_ERROR),
+            (set_matrix(None), *GRID_ERROR),
+            (append_to(None), *GRID_ERROR),
+            (lambda entry: {**entry, "matrix": entry["matrix"][:2]}, *GRID_ERROR),
+            (set_row(1, "abc"), *GRID_ERROR),
+            (set_row(1, 2), *GRID_ERROR),
+            (append_to(1), *GRID_ERROR),
+            (set_cell(1, 0, None), *GRID_ERROR),
+            (set_cell(1, 0, [0.5]), *GRID_ERROR),
+            (set_id("a"), PanelParseError, "expert #3: id 'a' repeats expert #1"),
         ],
         ids=["negative", "zero", "nan", "infinity", "huge", "tiny", "reciprocity",
-             "reciprocity-lower", "short-row", "string", "bool", "missing-matrix", "non-object"],
+             "reciprocity-lower", "short-row", "string", "bool", "missing-matrix", "non-object",
+             "grid-object", "grid-null", "extra-row", "missing-row", "row-string", "row-number",
+             "long-row", "null", "nested-list", "repeated-id"],
     )
     def test_third_of_four_experts_malformed(self, defect, error, message):
         doc = four_expert_doc()
@@ -195,10 +236,14 @@ class TestStackMessages:
             (set_cell(1, 2, 9), set_cell(0, 1, 4),
              "expert 'b': reciprocity violated at row 2, column 3 (c_ij*c_ji = 4.5000)"),
             (drop_matrix, set_cell(0, 1, "x"), "expert 'b': missing 'matrix' field"),
+            # ids are checked after the types and shapes, before any value
+            (set_id("a"), drop_last, "expert 'd': matrix must be 3 rows of 3 numbers"),
+            (set_cell(0, 1, -1), set_id("a"), "expert #4: id 'a' repeats expert #1"),
+            (set_id("c"), set_id("a"), "expert #3: id 'c' repeats expert #2"),
         ],
         ids=["shape-before-value", "positivity-before-reciprocity", "positivity-before-range",
              "range-before-reciprocity", "lowest-reciprocity",
-             "lowest-type"],
+             "lowest-type", "shape-before-id", "id-before-value", "lowest-repeat"],
     )
     def test_two_malformed_experts_report_in_documented_order(self, defect_b, defect_d, message):
         doc = four_expert_doc()
@@ -207,6 +252,28 @@ class TestStackMessages:
         with pytest.raises(GroupAHPError) as info:
             parse_panel(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("q", [0, 3], ids=["first", "last"])
+    @pytest.mark.parametrize(
+        "defect,message",
+        [
+            (set_cell(2, 1, 0), "expert {id}: non-positive entry at row 3, column 2"),
+            (set_cell(0, 1, 4), "expert {id}: reciprocity violated at row 1, column 2 "
+                                "(c_ij*c_ji = 2.0000)"),
+            (set_row(2, None), "expert {id}: matrix must be 3 rows of 3 numbers"),
+            (set_cell(2, 2, None), "expert {id}: matrix must be 3 rows of 3 numbers"),
+            (drop_matrix, "expert {id}: missing 'matrix' field"),
+            (lambda entry: None, "expert #{pos}: entry must be an object, got None"),
+        ],
+        ids=["zero", "reciprocity", "null-row", "null-cell", "missing-matrix", "non-object"],
+    )
+    def test_first_or_last_expert_malformed(self, q, defect, message):
+        doc = four_expert_doc()
+        eid = doc["experts"][q]["id"]
+        doc["experts"][q] = defect(doc["experts"][q])
+        with pytest.raises(GroupAHPError) as info:
+            parse_panel(doc)
+        assert str(info.value) == message.format(id=repr(eid), pos=q + 1)
 
     def test_rounded_stack_equals_per_matrix_completion(self):
         rng = np.random.default_rng(53)
