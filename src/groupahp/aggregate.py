@@ -12,35 +12,32 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, resymmetrize
+from .core import (ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, _check_rows, _unchecked,
+                   resymmetrize)
 from .derive import _panel_gmm_matrix
 from .errors import ShapeError
 
 
-def _weights_or_uniform(r: ExpertWeights | None, k: int) -> np.ndarray:
-    if r is None:
-        return np.full(k, 1.0 / k)
-    if r.k != k:
+def _weights(r: ExpertWeights | None, k: int) -> np.ndarray | None:
+    if r is not None and r.k != k:
         raise ShapeError(f"got {r.k} expert weights for {k} experts")
-    return r.r
+    return None if r is None else r.r[None]
 
 
 def aij(panel: ExpertPanel, r: ExpertWeights | None = None) -> PCMatrix:
     """Aggregate judgments: entrywise weighted geometric mean of the matrices."""
-    w = _weights_or_uniform(r, panel.k)
+    w = np.full(panel.k, 1.0 / panel.k) if r is None else _weights(r, panel.k)[0]
     # exact reciprocity can drift by a few ulp; restore it from the upper triangle
     return PCMatrix(resymmetrize(np.exp(np.tensordot(w, np.log(panel.stack), axes=1))))
 
 
-def _wgm_stack(W: np.ndarray, L: np.ndarray) -> np.ndarray:
-    """Normalized exp(w @ logs) per batch: (S, k) weights over (S, k, n) log priorities."""
+def _wgm_stack(W: np.ndarray | None, L: np.ndarray) -> np.ndarray:
+    """Checked, read-only, normalized exp(w @ logs): (S, k) weights, None for equal ones."""
+    W = np.full(L.shape[:2], 1.0 / L.shape[1]) if W is None else W
     combined = np.exp(np.matmul(W[:, None, :], L)[:, 0])
-    return combined / combined.sum(axis=1, keepdims=True)
-
-
-def _weighted_geometric_mean(logs: np.ndarray, r: ExpertWeights | None) -> PriorityVector:
-    """``_wgm_stack`` on a batch of one (k, n) matrix of log priorities."""
-    return PriorityVector(_wgm_stack(_weights_or_uniform(r, len(logs))[None], logs[None])[0])
+    combined /= combined.sum(axis=1, keepdims=True)
+    combined.setflags(write=False)
+    return _check_rows(combined)
 
 
 def aip(
@@ -49,10 +46,10 @@ def aip(
     """Aggregate priorities: normalized weighted geometric mean of the vectors."""
     if not priority_vectors:
         raise ShapeError("need at least one priority vector")
-    n = priority_vectors[0].n
-    if any(v.n != n for v in priority_vectors):
+    if len({v.n for v in priority_vectors}) > 1:
         raise ShapeError("all priority vectors must have the same length")
-    return _weighted_geometric_mean(np.log([v.weights for v in priority_vectors]), r)
+    L = np.log([v.weights for v in priority_vectors])
+    return _unchecked(PriorityVector, weights=_wgm_stack(_weights(r, len(L)), L[None])[0])
 
 
 def aggregate_panel(panel: ExpertPanel, r: ExpertWeights | None = None) -> PriorityVector:
@@ -62,4 +59,5 @@ def aggregate_panel(panel: ExpertPanel, r: ExpertWeights | None = None) -> Prior
     priorities from the AIJ matrix (the two routes commute under the geometric
     mean; covered by property tests).
     """
-    return _weighted_geometric_mean(_panel_gmm_matrix(panel)[1], r)
+    L = _panel_gmm_matrix(panel)[1][None]
+    return _unchecked(PriorityVector, weights=_wgm_stack(_weights(r, panel.k), L)[0])

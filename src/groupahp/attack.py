@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .aggregate import _wgm_stack
-from .core import MAX_JUDGMENT, ExpertPanel, PCMatrix, PriorityVector, _check_rows, _checked_panel
+from .core import (MAX_JUDGMENT, ExpertPanel, PCMatrix, PriorityVector, _check_rows,
+                   _checked_panel, _ranking)
 from .derive import _row_gmm
 from .errors import DomainError, ShapeError
 
@@ -64,12 +65,11 @@ def _attack_stack(A, max_bribes: int | None, saturation: float):
     _check_saturation(saturation)
     S, k, n = A.shape[:3]
     G = _check_rows(_row_gmm(A).reshape(S * k, n)).reshape(S, k, n)
-    L, uniform = np.log(G), np.full((S, k), 1.0 / k)
-    honest = _check_rows(_wgm_stack(uniform, L))
-    winner, runner_up = np.argsort(-honest, axis=1, kind="stable")[:, :2].T
+    L = np.log(G)
+    honest = _wgm_stack(None, L)
+    winner, runner_up = _ranking(honest)[:, :2].T
     budget = k if max_bribes is None else max(max_bribes, 0)
-    # descending support, ties towards the lower expert index
-    queue = np.argsort(-G[np.arange(S), :, winner], axis=1, kind="stable")[:, :budget]
+    queue = _ranking(G[np.arange(S), :, winner])[:, :budget]  # descending support
     ranking, used, succeeded = honest.copy(), np.zeros(S, int), np.zeros(S, bool)
     for b in range(queue.shape[1]):
         s = np.flatnonzero(~succeeded)
@@ -79,7 +79,7 @@ def _attack_stack(A, max_bribes: int | None, saturation: float):
         _bribe_stack(M, runner_up[s], winner[s], saturation)
         g = _check_rows(_row_gmm(M))
         A[s, t], G[s, t], L[s, t] = M, g, np.log(g)
-        r = _check_rows(_wgm_stack(uniform[s], L[s]))
+        r = _wgm_stack(None, L[s])
         # argmax takes the first of a tie, as the stable ranking does
         ranking[s], used[s], succeeded[s] = r, b + 1, r.argmax(axis=1) == runner_up[s]
     return queue, used, succeeded, ranking, honest, G, L

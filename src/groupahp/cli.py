@@ -18,7 +18,7 @@ import numpy as np
 
 from .aggregate import _wgm_stack
 from .attack import _attack_stack
-from .core import _check_rows, _checked_panel
+from .core import _checked_panel, _ranking
 from .derive import _checked_gmm
 from .errors import DomainError, GroupAHPError, PanelParseError
 from .inconsistency import _stack_cis, _stack_k
@@ -66,13 +66,13 @@ def cmd_aggregate(args) -> int:
     CI = _stack_cis(A)
     for eid, ci in zip(ids, CI.tolist()):
         print(f"CI {eid}: {_fmt(ci)}")
-    L, W = np.log(G)[None], np.full((1, len(A)), 1.0 / len(A))
+    L, W = np.log(G)[None], None
     if args.method != "CLASSIC":
         W = _robust_weights_stack(G[None], L, CI[None], config.robust)[METHODS.index(args.method)]
         _print_vector("expert weights", W[0])
-    final = _check_rows(_wgm_stack(W, L))[0]
+    final = _wgm_stack(W, L)[0]
     _print_vector(f"final ranking ({args.method})", final)
-    order = np.argsort(-final, kind="stable").tolist()  # ties as PriorityVector.ranking breaks them
+    order = _ranking(final).tolist()
     print("order:", " > ".join(f"a{i + 1}" for i in order))
     print(f"winner: a{order[0] + 1} ({_fmt(final[order[0]])})")
     return 0
@@ -135,7 +135,7 @@ def cmd_experiment(args) -> int:
     if args.which == 1:
         records = experiment1(scenarios, config.robust, config.max_bribes, config.saturation)
     else:
-        records = experiment2(scenarios, config.robust, config.workers)
+        records = experiment2(scenarios, config.robust)
     # load_config rejects an empty corpus, so there is a first row
     _write_csv(out_dir / "records.csv", list(records[0]), (r.values() for r in records))
     _write_csv(

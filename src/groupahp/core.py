@@ -68,6 +68,11 @@ def _check_rows(W: np.ndarray, what: str = "priorities", least: int = 2) -> np.n
     return W
 
 
+def _ranking(W: np.ndarray) -> np.ndarray:
+    """Indices along W's last axis from largest to smallest value, ties to the lower index."""
+    return np.argsort(-W, axis=-1, kind="stable")
+
+
 class _ReadOnlyArrays:
     """Base of the frozen types: keeps their arrays read-only through pickling."""
 
@@ -128,8 +133,7 @@ class PriorityVector(_ReadOnlyArrays):
 
     def ranking(self) -> np.ndarray:
         """Alternative indices ordered from most to least preferred."""
-        # stable sort so ties break towards the lower index
-        return np.argsort(-self.weights, kind="stable")
+        return _ranking(self.weights)
 
 
 @dataclass(frozen=True)

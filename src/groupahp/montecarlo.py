@@ -2,24 +2,22 @@
 
 A scenario is a ground-truth priority vector, a disturbance level alpha,
 and a panel of perturbed copies of the vector's consistent matrix.
-Experiment 1 attacks each panel and measures how well the robust
-aggregation schemes restore the honest ranking; experiment 2 measures how
-much the schemes disturb an honest, unmanipulated panel.
+Experiment 1 attacks each panel and measures how well the robust aggregation
+schemes restore the honest ranking; experiment 2 measures how much the schemes
+disturb an honest, unmanipulated panel.  Both run in the calling process.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from functools import partial
 from itertools import product
 
 import numpy as np
 
 from .aggregate import aggregate_panel
 from .attack import SATURATION, _attack_stack
-from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_stack,
-                   _checked_panel, consistent_matrix_from_priorities, resymmetrize)
+from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_stack, _checked_panel, _ranking,
+                   consistent_matrix_from_priorities, resymmetrize)
 from .errors import DomainError, EmptyReportError
 from .inconsistency import _stack_cis, panel_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
@@ -28,7 +26,6 @@ from .robust import METHODS, RobustConfig, _robust_aggregate_stack, robust_aggre
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
 CI_THRESHOLD = 0.1  # the low-inconsistency region the headline statistics cover
-CHUNK = 32  # scenarios per pool task
 MAX_ALPHA = 1e90  # base ratios stay below 1e9 (weights > 1e-9), so judgments below 1e99
 
 
@@ -147,8 +144,7 @@ def generate_corpus(
 
 def _classify(honest, restored):
     """'RR' if two rankings agree, 'WR' if their top two do, else 'FAILURE'; per row of arrays."""
-    ho, ro = (np.argsort(-getattr(v, "weights", v), kind="stable") for v in (honest, restored))
-    same = ho == ro
+    same = np.equal(*(_ranking(getattr(v, "weights", v)) for v in (honest, restored)))
     return np.where(same.all(-1), "RR", np.where(same[..., :2].all(-1), "WR", "FAILURE")).tolist()
 
 
@@ -165,17 +161,6 @@ def _run_experiment2_one(scenario: Scenario, config: RobustConfig) -> dict:
         **{_column("manhattan", m): manhattan_mean(honest, a) for m, a in alt.items()},
         **{_column("kendall", m): kendall_tau_distance(honest, a) for m, a in alt.items()},
     }
-
-
-def _map(fn, items, workers: int):
-    """``[fn(x) for x in items]``, in this process or in a pool that takes CHUNK items a task."""
-    # no more processes than tasks or CPUs: a fork pool starts them all at once
-    workers = min(workers, (len(items) + CHUNK - 1) // CHUNK, os.cpu_count() or 1)
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ProcessPoolExecutor  # on use: the import adds ~2 MB RSS
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=CHUNK))
 
 
 def experiment1(
@@ -213,13 +198,12 @@ def experiment1(
 def experiment2(
     scenarios: list[Scenario],
     config: RobustConfig = RobustConfig(),
-    workers: int = 1,
 ) -> list[dict]:
-    """Compare honest aggregation against the robust schemes, no attack.
+    """Compare honest aggregation against the robust schemes, no attack, scenario by scenario.
 
     Returns one flat row per scenario, keyed by the records.csv columns.
     """
-    return _map(partial(_run_experiment2_one, config=config), scenarios, workers)
+    return [_run_experiment2_one(s, config) for s in scenarios]
 
 
 def _bucket(ci: float) -> float:

@@ -171,7 +171,7 @@ class RunConfig:
     saturation: float = SATURATION
     max_bribes: int | None = None
     epsilon_distribution: str = "log-uniform"
-    workers: int = 1
+    workers: int = 1  # checked, but changes nothing: kept while the benchmark passes --workers
 
     @property
     def alpha_count(self) -> float:

@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .aggregate import _weighted_geometric_mean, _wgm_stack, aggregate_panel
+from .aggregate import _wgm_stack, aggregate_panel
 from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, _check_rows
 from .derive import _panel_gmm_matrix, gmm_priorities
 from .errors import CredibilityOrderError, DomainError
@@ -98,7 +98,7 @@ def preferential_distances(
 ) -> np.ndarray:
     """Distance of each expert's GMM vector from the equal-weight aggregate."""
     G, L = _panel_gmm_matrix(panel)
-    return _metric(metric)(_weighted_geometric_mean(L, None), G)
+    return _metric(metric)(_wgm_stack(None, L[None]), G)
 
 
 def _centred(CI: np.ndarray) -> np.ndarray:
@@ -149,8 +149,7 @@ def _robust_weights_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, .
     """The (S, k) expert weights of S panels by each method, in METHODS order, from the
     (S, k, n) GMM vectors G, their logs L and (S, k) CIs.  APDD measures from each panel's
     equal-weight aggregate.  Each weight matrix gets ExpertWeights' checks."""
-    reference = _check_rows(_wgm_stack(np.full(CI.shape, 1.0 / CI.shape[1]), L))
-    apdd = _apdd_stack(_metric(config.metric)(reference[:, None], G), config)
+    apdd = _apdd_stack(_metric(config.metric)(_wgm_stack(None, L)[:, None], G), config)
     aid = _aid_stack(_centred(CI), config)
     return tuple(_check_rows(W, "expert weights", 1)
                  for W in (apdd, aid, _mx_stack(apdd, aid, config)))
@@ -158,7 +157,7 @@ def _robust_weights_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, .
 
 def _robust_aggregate_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
     """``robust_aggregate`` of S panels by each method: ``_robust_weights_stack``'s aggregates."""
-    return tuple(_check_rows(_wgm_stack(W, L)) for W in _robust_weights_stack(G, L, CI, config))
+    return tuple(_wgm_stack(W, L) for W in _robust_weights_stack(G, L, CI, config))
 
 
 def apdd_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:

@@ -24,7 +24,6 @@ from groupahp import (
     koczkodaj_k,
     load_panel,
     method_weights,
-    montecarlo,
     panel_cis,
     panel_gmm,
     pcm_from_upper_triangle,
@@ -37,6 +36,8 @@ from groupahp.robust import METHODS
 from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
+# 40 scenarios: enough for a pool of two, were an experiment to start one
+FORTY_SCENARIOS = {"counts": {"4": 10, "5": 10}, "alpha_stop": 1.2, "panel_size": 4}
 # a valid panel whose second expert's CI needs more than the power iteration's budget,
 # so LAPACK finishes it
 SLOW_EVM_PANEL = json.dumps({"n": 4, "experts": [
@@ -286,14 +287,18 @@ class TestSharedParser:
         assert capsys.readouterr().out == before
 
 
-def test_only_a_pool_imports_multiprocessing():
-    # experiment 2 with workers > 1 imports concurrent.futures when it starts its pool
+def test_only_a_pool_imports_multiprocessing(tmp_path):
+    # no command starts a process pool, so not even experiment 2 with two workers imports one
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
-    code = ("import sys, groupahp.cli; "
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(FORTY_SCENARIOS))
+    argv = ["experiment", "--which", "2", "--workers", "2", "--config", str(cfg),
+            "--out", str(tmp_path / "o")]
+    code = ("import sys; from groupahp.cli import main; assert main(sys.argv[1:]) == 0; "
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
-                         timeout=120)
-    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")
+    run = subprocess.run([sys.executable, "-c", code, *argv], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (run.returncode, run.stdout.splitlines()[-1:], run.stderr) == (0, ["[]"], "")
 
 
 class TestExperiment:
@@ -345,21 +350,19 @@ class TestExperiment:
         assert "--seed" in capsys.readouterr().err
 
 
-    def test_experiment1_runs_in_this_process_whatever_the_workers(self, tmp_path, capsys,
-                                                                   monkeypatch):
-        # 40 scenarios on 2 CPUs: enough for a pool of two, were experiment 1 to start one
+    @pytest.mark.parametrize("which", ["1", "2"])
+    def test_experiments_run_in_this_process_whatever_the_workers(self, which, tmp_path, capsys,
+                                                                  monkeypatch):
         cfg = tmp_path / "config.json"
-        cfg.write_text(json.dumps({"counts": {"4": 10, "5": 10}, "alpha_stop": 1.2,
-                                   "panel_size": 4}))
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
+        cfg.write_text(json.dumps(FORTY_SCENARIOS))
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_must_not_start)
         out_dir = tmp_path / "o"
         outputs = []
         for workers in ("1", "2"):
-            assert main(["experiment", "--which", "1", "--config", str(cfg),
+            assert main(["experiment", "--which", which, "--config", str(cfg),
                          "--workers", workers, "--out", str(out_dir)]) == 0
             outputs.append([(out_dir / f).read_bytes() for f in ("records.csv", "summary.csv")]
                            + [capsys.readouterr().out])
-            monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", pool_must_not_start)
         assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -526,14 +529,22 @@ hostile = st.one_of(
 )
 
 
+# expert ids that the loader reads back as their str and that no default id (e1, e2, ...)
+# of a panel of at most four experts equals; an integer past float range reads as infinity
+expert_ids = st.sampled_from(["a", "", "e5"]) | hostile.filter(
+    lambda v: not isinstance(v, int) or abs(v) < 1e308)
+
+
 @st.composite
 def panel_texts(draw):
     """Panel documents near the valid ones: reciprocal matrices with a few cells,
     rows, entries, ids or ``n`` broken.  Past n = 9 the upper triangle comes from
     a seeded generator, as Hypothesis's buffer cannot hold 4,950 drawn floats."""
     n = draw(st.integers(2, 9) | st.sampled_from([30, 100]))
+    k = draw(st.integers(0, 4))
+    ids = draw(st.lists(expert_ids, min_size=k, max_size=k, unique_by=str))  # none repeats
     experts = []
-    for _ in range(draw(st.integers(0, 4))):
+    for q in range(k):
         size = n * (n - 1) // 2
         if n > 9:
             upper = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(1 / 9, 9, size)
@@ -546,12 +557,33 @@ def panel_texts(draw):
             m[draw(st.integers(0, n - 1))].pop()
         entry = {"matrix": m}
         if draw(st.booleans()):
-            entry["id"] = draw(st.one_of(st.sampled_from(["a", "a", "", "e1"]), hostile))
+            entry["id"] = ids[q]
         experts.append(draw(st.one_of(st.just(entry), hostile)) if draw(st.integers(0, 9)) == 0
                        else entry)
     doc = {"n": draw(st.one_of(st.just(n), hostile)) if draw(st.integers(0, 9)) == 0 else n,
            "experts": experts}
     return json.dumps(doc)
+
+
+@st.composite
+def repeated_id_panels(draw):
+    """A panel text of valid experts in which an id, given or the default e<position>,
+    repeats an earlier expert's; and the loader's message for the first repeat."""
+    n, k = draw(st.integers(2, 5)), draw(st.integers(2, 4))
+    given = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+    values = draw(st.lists(expert_ids, min_size=k, max_size=k))
+    p, q = sorted(draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True)))
+    given[q], values[q] = True, values[p] if given[p] else f"e{p + 1}"
+    experts = []
+    for has_id, value in zip(given, values):
+        upper = draw(st.lists(st.floats(1 / 9, 9), min_size=n * (n - 1) // 2,
+                              max_size=n * (n - 1) // 2))
+        entry = {"matrix": pcm_from_upper_triangle(n, upper).values.tolist()}
+        experts.append({"id": value, **entry} if has_id else entry)
+    read = [str(v) if g else f"e{i + 1}" for i, (g, v) in enumerate(zip(given, values))]
+    r = next(i for i, eid in enumerate(read) if eid in read[:i])
+    message = f"expert #{r + 1}: id {read[r]!r} repeats expert #{read.index(read[r]) + 1}"
+    return json.dumps({"n": n, "experts": experts}), message
 
 
 alpha = st.sampled_from([-1, 0, 1, 1.1, 2.5, 5, 1e308, 1e-300, math.nan, math.inf, 10**400, "1",
@@ -612,6 +644,15 @@ class TestHostileDocuments:
         code, err = run_quietly(argv + (["--method", "MX"] if command == "aggregate" else []))
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err and "Warning" not in err
+
+    @given(case=repeated_id_panels(), command=st.sampled_from(["inspect", "aggregate", "attack"]))
+    @settings(max_examples=50, deadline=None)
+    def test_repeated_ids(self, case, command, tmp_path_factory):
+        text, message = case
+        path = tmp_path_factory.getbasetemp() / "repeated_ids.json"
+        path.write_text(text)
+        code, err = run_quietly([command, "--input", str(path)])
+        assert (code, message in err) == (2, True), err
 
     def test_judgments_at_the_bound(self, tmp_path):
         path = tmp_path / "panel.json"

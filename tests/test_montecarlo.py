@@ -1,4 +1,3 @@
-from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -162,45 +161,6 @@ class TestGeneration:
         assert s.mean_ci == pytest.approx(panel_mean_ci(s.panel))
 
 
-class FakePool:
-    """Stands in for ProcessPoolExecutor: records its size, maps in-process."""
-
-    sizes: list = []
-
-    def __init__(self, max_workers):
-        FakePool.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items, chunksize):
-        return map(fn, items)
-
-
-class TestPoolSize:
-    @pytest.mark.parametrize(
-        "workers, items, cpus, size",
-        [
-            (2, 128, 2, 2),  # the benchmark's pool
-            (1000, 64, 8, 2),  # no more workers than 32-scenario chunks
-            (1000, 65, 8, 3),
-            (1000, 4000, 8, 8),  # no more workers than CPUs
-            (3, 4000, 8, 3),
-            (1000, 4000, None, None),  # CPU count unknown: serial
-            (4, 32, 8, None),  # one chunk: serial
-        ],
-    )
-    def test_pool_size_is_bounded(self, monkeypatch, workers, items, cpus, size):
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: cpus)
-        monkeypatch.setattr(FakePool, "sizes", [])
-        assert montecarlo._map(abs, range(-items, 0), workers) == list(range(items, 0, -1))
-        assert FakePool.sizes == ([] if size is None else [size])
-
-
 class TestClassification:
     def test_full_match_is_rr(self):
         a = PriorityVector.from_raw([4.0, 3.0, 2.0, 1.0])
@@ -229,7 +189,7 @@ def exp2(small_corpus):
 
 
 def two_chunk_corpus():
-    # 40 scenarios, 20 of each matrix size: two pool chunks, the first holding both sizes
+    # 40 scenarios, 20 of each matrix size
     return generate_corpus(321, {4: 10, 5: 10}, SMALL_ALPHAS, 4, "log-uniform")
 
 
@@ -248,23 +208,6 @@ class TestExperiments:
             for m in (m.lower() for m in METHODS):
                 assert rec[f"manhattan_{m}"] >= 0
                 assert isinstance(rec[f"kendall_{m}"], int)
-
-    def test_parallel_matches_serial(self, small_corpus, exp2):
-        assert experiment2(small_corpus, workers=2) == exp2
-
-    def test_pool_of_two_matches_serial(self, monkeypatch):
-        # two chunks, so two workers really start
-        corpus = two_chunk_corpus()
-        sizes = []
-
-        def recording_pool(max_workers):
-            sizes.append(max_workers)
-            return ProcessPoolExecutor(max_workers=max_workers)
-
-        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", recording_pool)
-        monkeypatch.setattr(montecarlo.os, "cpu_count", lambda: 2)
-        assert experiment2(corpus, workers=2) == experiment2(corpus)
-        assert sizes == [2]
 
     def test_serial_experiment1_is_one_batch_per_matrix_size(self):
         corpus = two_chunk_corpus()
