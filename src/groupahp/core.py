@@ -10,7 +10,6 @@ GMM matrix and that matrix's log; memo writes are idempotent, so sharing stays s
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -138,9 +137,11 @@ class PriorityVector(_ReadOnlyArrays):
 
 @dataclass(frozen=True)
 class ExpertPanel(_ReadOnlyArrays):
-    """Ordered collection of comparison matrices over the same alternatives."""
+    """Ordered collection of comparison matrices over the same alternatives, and their
+    read-only (k, n, n) ``stack``: stacked once here, or the checked stack it was made from."""
 
     matrices: tuple[PCMatrix, ...]
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -151,6 +152,7 @@ class ExpertPanel(_ReadOnlyArrays):
         if any(m.n != n for m in mats):
             raise ShapeError("all panel matrices must share the same size")
         object.__setattr__(self, "matrices", mats)
+        object.__setattr__(self, "stack", _frozen_array([m.values for m in mats]))
 
     @classmethod
     def from_stack(cls, A) -> "ExpertPanel":
@@ -158,14 +160,6 @@ class ExpertPanel(_ReadOnlyArrays):
         arr = _frozen_array(A)
         _check_stack(arr)
         return _checked_panel(arr)
-
-    @cached_property
-    def stack(self) -> np.ndarray:
-        """The read-only (k, n, n) array of the matrices, stacked at most once."""
-        return _frozen_array([m.values for m in self.matrices])
-
-    def __getstate__(self):  # unpickled, the stack is rebuilt on demand, not sent twice
-        return {key: value for key, value in self.__dict__.items() if key != "stack"}
 
     @property
     def k(self) -> int:
@@ -177,15 +171,16 @@ class ExpertPanel(_ReadOnlyArrays):
 
 
 def _checked_panel(arr: np.ndarray, cis=None) -> ExpertPanel:
-    """The panel of a read-only (k, n, n) stack that passes ``_check_stack``, not checked again.
+    """The panel whose stack is ``arr``, a read-only (k, n, n) array that passes ``_check_stack``.
 
     Each matrix is a view of its slice; with ``cis``, each has its CI memoised.
+    ``_check_stack`` passes k = 0, so an empty stack is rejected here.
     """
+    if not len(arr):
+        raise ShapeError("a panel needs at least one expert")
     memos = [{} for _ in arr] if cis is None else [{"ci": ci} for ci in cis]
-    panel = ExpertPanel(tuple(_unchecked(PCMatrix, values=m, _memo=memo)
-                              for m, memo in zip(arr, memos)))
-    panel.__dict__["stack"] = arr
-    return panel
+    matrices = tuple(_unchecked(PCMatrix, values=m, _memo=memo) for m, memo in zip(arr, memos))
+    return _unchecked(ExpertPanel, matrices=matrices, stack=arr, _memo={})
 
 
 @dataclass(frozen=True)
@@ -216,40 +211,41 @@ class ExpertWeights(_ReadOnlyArrays):
 
 
 def pcm_from_upper_triangle(n: int, upper) -> PCMatrix:
-    """Build a reciprocal matrix from its strict upper triangle (row-major).
-
-    The lower triangle is filled with exact reciprocals, so the result is
-    reciprocal by construction.
-    """
+    """Build a reciprocal matrix from its strict upper triangle (row-major) with ``_from_upper``."""
     vals = np.asarray(upper, dtype=float)
     expected = n * (n - 1) // 2
     if vals.size != expected:
         raise ShapeError(f"expected {expected} upper-triangle entries, got {vals.size}")
     if not np.all(np.isfinite(vals)) or np.any(vals <= 0.0):
         raise DomainError("upper-triangle entries must be positive")
-    m = np.ones((n, n))
-    m[np.triu_indices(n, k=1)] = vals
-    return PCMatrix(resymmetrize(m))
+    return PCMatrix(_from_upper(n, vals.reshape(expected)))
+
+
+def _from_upper(n: int, U: np.ndarray) -> np.ndarray:
+    """The new read-only (..., n, n) stack of reciprocal matrices whose strict upper triangles
+    (row-major) are the last axis of the float array U: diagonal 1, lower triangle 1.0 / U."""
+    i, j = np.triu_indices(n, k=1)
+    out = np.ones((*U.shape[:-1], n, n))
+    out[..., i, j] = U
+    out[..., j, i] = 1.0 / U
+    out.setflags(write=False)
+    return out
 
 
 def resymmetrize(values) -> np.ndarray:
     """Force exact reciprocity on a (..., n, n) stack of nearly reciprocal matrices.
 
-    Keeps each strict upper triangle, sets the diagonal to 1 and recomputes
-    the lower triangle as reciprocals, in a new read-only array.  Used when
-    loading matrices printed with rounded decimals; the caller checks that the
-    upper entries are positive.
+    Keeps each strict upper triangle and rebuilds the matrices from it with
+    ``_from_upper``, in a new read-only array.  Used when loading matrices
+    printed with rounded decimals; the caller checks that the upper entries
+    are positive.
     """
     arr = np.asarray(values, dtype=float)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ShapeError(f"expected square matrices, got shape {arr.shape}")
-    i, j = np.triu_indices(arr.shape[-1], k=1)
-    upper = arr[..., i, j]
-    out = np.ones_like(arr)
-    out[..., i, j] = upper
-    out[..., j, i] = 1.0 / upper
-    out.setflags(write=False)
-    return out
+    n = arr.shape[-1]
+    i, j = np.triu_indices(n, k=1)
+    return _from_upper(n, arr[..., i, j])
 
 
 def consistent_matrix_from_priorities(w: PriorityVector) -> PCMatrix:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .aggregate import aggregate_panel
 from .attack import SATURATION, _attack_stack
-from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_stack, _checked_panel, _ranking,
-                   consistent_matrix_from_priorities, resymmetrize)
+from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_stack, _checked_panel, _from_upper,
+                   _ranking, consistent_matrix_from_priorities)
 from .errors import DomainError, EmptyReportError
 from .inconsistency import _stack_cis, panel_cis, panel_mean_ci
 from .metrics import kendall_tau_distance, manhattan_mean
@@ -56,6 +56,8 @@ def _perturbed_stack(C: np.ndarray, alphas, rng: np.random.Generator, distributi
     by matrix, then alpha, then copy.  One uniform draw, with each alpha's
     bounds broadcast over its copies, takes the random numbers in that order,
     so the stack is the one B * len(alphas) calls of ``perturb`` would draw.
+    The factors are scaled in place to the perturbed upper triangles, so the
+    only (..., n, n) array made is the one ``core._from_upper`` returns.
     """
     alphas = [float(a) for a in alphas]
     if not all(1.0 <= a <= MAX_ALPHA for a in alphas):  # NaN too
@@ -74,10 +76,9 @@ def _perturbed_stack(C: np.ndarray, alphas, rng: np.random.Generator, distributi
         eps = rng.uniform(1.0 / a, a, size=size)
     else:
         raise DomainError(f"unknown epsilon distribution {distribution!r}")
-    S = np.empty((*size[:3], n, n))  # resymmetrize reads only the upper triangles
-    S[..., iu[0], iu[1]] = C[:, None, None, iu[0], iu[1]] * eps
-    del eps  # freed before resymmetrize makes the stack's full-size copy
-    S = resymmetrize(S.reshape(-1, n, n))
+    eps *= C[:, None, None, iu[0], iu[1]]  # now the perturbed upper triangles
+    S = _from_upper(n, eps.reshape(-1, len(iu[0])))
+    del eps  # freed before the check's temporaries
     _check_stack(S)
     return S
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from groupahp import bundled_panel
+from groupahp import ExpertPanel, bribe_matrix, bundled_panel, pcm_from_upper_triangle, perturb
 
 # One line per acceptance criterion, printed after the run so the verdicts
 # survive output capturing.
@@ -35,6 +35,20 @@ def eight_panel():
 def five_alt_panel():
     panel, _ = bundled_panel("bribery_demo_panel")
     return panel
+
+
+def random_pcm(n, rng, spread=9.0):
+    upper = np.exp(rng.uniform(-np.log(spread), np.log(spread), n * (n - 1) // 2))
+    return pcm_from_upper_triangle(n, upper)
+
+
+def derived_matrices(m, rng):
+    """New matrices built from m by three ways the package makes them."""
+    return {
+        "bribe_matrix": bribe_matrix(m, 0, 1),
+        "ExpertPanel": ExpertPanel((m, random_pcm(m.n, rng))).matrices[1],
+        "perturb": perturb(m, 3.0, rng, "log-uniform", 1).matrices[0],
+    }
 
 
 def normalized(values) -> np.ndarray:

@@ -41,8 +41,7 @@ from groupahp import (
     saaty_ci,
 )
 from groupahp.montecarlo import METHODS, experiment1, experiment2, summarize
-from tests.conftest import ACCEPTANCE_REPORT, normalized
-from tests.test_core import random_pcm
+from tests.conftest import ACCEPTANCE_REPORT, normalized, random_pcm
 
 CI_THRESHOLD = 0.1
 

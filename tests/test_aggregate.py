@@ -12,7 +12,7 @@ from groupahp import (
     aip,
     gmm_priorities,
 )
-from tests.test_core import random_pcm
+from tests.conftest import random_pcm
 
 
 def random_panel(rng, k=None, n=None):

@@ -17,8 +17,7 @@ from groupahp import (
     run_attack,
 )
 from groupahp import core
-from tests.conftest import normalized
-from tests.test_core import random_pcm
+from tests.conftest import normalized, random_pcm
 
 
 def unanimous_panel(raw, k):

@@ -14,22 +14,19 @@ from groupahp import (
     PriorityVector,
     ShapeError,
     consistent_matrix_from_priorities,
+    generate_corpus,
     gmm_priorities,
     panel_gmm,
     pcm_from_upper_triangle,
     resymmetrize,
 )
-from groupahp.core import _check_rows
+from groupahp.core import MAX_JUDGMENT, _check_rows, _from_upper
 from groupahp.derive import _panel_gmm_matrix
+from tests.conftest import random_pcm
 
 positive_weights = st.lists(
     st.floats(min_value=1e-3, max_value=1e3), min_size=2, max_size=8
 )
-
-
-def random_pcm(n, rng, spread=9.0):
-    upper = np.exp(rng.uniform(-np.log(spread), np.log(spread), n * (n - 1) // 2))
-    return pcm_from_upper_triangle(n, upper)
 
 
 class TestPCMatrix:
@@ -166,8 +163,9 @@ class TestFromStack:
         assert raised(ExpertPanel.from_stack, stack) == raised(PCMatrix, stack[0])
 
     def test_rejects_an_empty_stack(self):
-        with pytest.raises(ShapeError, match="at least one expert"):
-            ExpertPanel.from_stack(np.ones((0, 3, 3)))
+        for n in (2, 3, 7):  # _check_stack passes a (0, n, n) stack
+            with pytest.raises(ShapeError, match="at least one expert"):
+                ExpertPanel.from_stack(np.ones((0, n, n)))
 
     def test_keeps_the_validated_stack(self):
         # the matrices are views of the panel's stack, so panel_gmm stacks nothing again
@@ -263,6 +261,37 @@ class TestConstruction:
         assert m.values[0, 2] == pytest.approx(0.25)
 
 
+class TestFromUpper:
+    """``core._from_upper``, the one builder of reciprocal matrices, checked bit for bit."""
+
+    @given(n=st.integers(2, 9), lead=st.lists(st.integers(1, 3), max_size=2), data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_builds_exact_reciprocal_stacks(self, n, lead, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = n * (n - 1) // 2
+        bound = np.log(MAX_JUDGMENT)
+        U = np.exp(rng.uniform(-bound, bound, (*lead, m)))
+        before = U.copy()
+        A = _from_upper(n, U)
+        i, j = np.triu_indices(n, k=1)
+        assert A.shape == (*lead, n, n)
+        assert not A.flags.writeable
+        assert A[..., i, j].tobytes() == U.tobytes()
+        assert A[..., j, i].tobytes() == (1.0 / U).tobytes()
+        assert (A.diagonal(axis1=-2, axis2=-1) == 1.0).all()
+        assert U.tobytes() == before.tobytes() and U.flags.writeable
+        assert resymmetrize(A).tobytes() == A.tobytes()
+        for u, a in zip(U.reshape(-1, m), A.reshape(-1, n, n)):
+            for upper in (u, u[None], u.tolist()):  # any array of m entries
+                assert pcm_from_upper_triangle(n, upper).values.tobytes() == a.tobytes()
+
+    @pytest.mark.parametrize("distribution", ["log-uniform", "uniform"])
+    def test_generated_matrices_are_fixed_points_of_resymmetrize(self, distribution):
+        corpus = generate_corpus(17, {3: 2, 5: 2, 9: 1}, [1.0, 1.5, 40.0], 6, distribution)
+        for s in corpus:
+            assert resymmetrize(s.panel.stack).tobytes() == s.panel.stack.tobytes()
+
+
 class TestPickle:
     @pytest.mark.parametrize(
         "obj, attr",
@@ -286,14 +315,19 @@ class TestPickle:
         copy = pickle.loads(pickle.dumps(m))
         assert not gmm_priorities(copy).weights.flags.writeable
 
-    def test_panel_stack_is_not_pickled_but_rebuilt(self):
+    @pytest.mark.parametrize("made", ["from_stack", "matrices"])
+    def test_panel_round_trip_keeps_its_stack(self, made):
         rng = np.random.default_rng(13)
-        panel = ExpertPanel.from_stack(np.stack([random_pcm(4, rng).values for _ in range(3)]))
-        data = pickle.dumps(panel)
-        assert len(data) < len(pickle.dumps(panel.matrices)) + panel.stack.nbytes
-        copy = pickle.loads(data)
-        assert "stack" not in copy.__dict__
-        assert np.array_equal(copy.stack, panel.stack) and not copy.stack.flags.writeable
+        mats = tuple(random_pcm(4, rng) for _ in range(3))
+        panel = (ExpertPanel.from_stack(np.stack([m.values for m in mats])) if made == "from_stack"
+                 else ExpertPanel(mats))
+        copy = pickle.loads(pickle.dumps(panel))
+        assert copy.stack.tobytes() == panel.stack.tobytes()
+        assert not copy.stack.flags.writeable
+        with pytest.raises(ValueError):
+            copy.stack[0, 0, 1] = 2.0
+        for m, values in zip(copy.matrices, copy.stack):
+            assert np.array_equal(m.values, values)
 
     def test_panel_memo_comes_back_read_only(self):
         rng = np.random.default_rng(3)

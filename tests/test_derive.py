@@ -6,28 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupahp import (
-    ExpertPanel,
     PCMatrix,
     PriorityVector,
-    bribe_matrix,
     consistent_matrix_from_priorities,
     evm_priorities,
     evm_stack,
     gmm_priorities,
     pcm_from_upper_triangle,
-    perturb,
 )
-from tests.conftest import SLOW_EVM_UPPER
-from tests.test_core import random_pcm
-
-
-def derived_matrices(m, rng):
-    """New matrices built from m by three ways the package makes them."""
-    return {
-        "bribe_matrix": bribe_matrix(m, 0, 1),
-        "ExpertPanel": ExpertPanel((m, random_pcm(m.n, rng))).matrices[1],
-        "perturb": perturb(m, 3.0, rng, "log-uniform", 1).matrices[0],
-    }
+from tests.conftest import SLOW_EVM_UPPER, derived_matrices, random_pcm
 
 
 class TestGMM:

@@ -19,8 +19,7 @@ from groupahp import (
     saaty_ci,
 )
 from groupahp.inconsistency import _stack_k
-from tests.test_core import random_pcm
-from tests.test_derive import derived_matrices
+from tests.conftest import derived_matrices, random_pcm
 
 
 def brute_force_koczkodaj(values: np.ndarray) -> float:

@@ -30,8 +30,7 @@ from groupahp import (
 )
 from groupahp import derive, inconsistency
 from groupahp.metrics import CARDINAL_METRICS
-from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER
-from tests.test_core import random_pcm
+from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER, random_pcm
 
 KINDS = ("perturbed", "consistent", "bribed", "tied")
 

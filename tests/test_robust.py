@@ -25,8 +25,7 @@ from groupahp import (
 )
 from groupahp.errors import CredibilityOrderError
 from groupahp.robust import DEFAULT_SCALE3, _aid_stack, _apdd_stack, inconsistency_distances
-from tests.conftest import normalized
-from tests.test_core import random_pcm
+from tests.conftest import normalized, random_pcm
 
 
 def random_panel(rng, k=5, n=4):
