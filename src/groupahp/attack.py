@@ -14,7 +14,7 @@ import numpy as np
 
 from .aggregate import _wgm_stack
 from .core import (MAX_JUDGMENT, ExpertPanel, PCMatrix, PriorityVector, _check_rows,
-                   _checked_panel, _ranking)
+                   _checked_panel, _ranking, _unchecked)
 from .derive import _row_gmm
 from .errors import DomainError, ShapeError
 
@@ -93,7 +93,7 @@ def run_attack(
     A = panel.stack[None].copy()
     queue, used, ok, ranking, honest, _, _ = _attack_stack(A, max_bribes, saturation)
     A.setflags(write=False)
+    ranking.setflags(write=False)  # both aggregates passed _wgm_stack's row check
     bribed = tuple(queue[0, :used[0]].tolist())
-    manipulated = _checked_panel(A[0]) if bribed else panel
-    return AttackOutcome(bribed, manipulated, bool(ok[0]), PriorityVector(ranking[0]),
-                         PriorityVector(honest[0]))
+    return AttackOutcome(bribed, _checked_panel(A[0]) if bribed else panel, bool(ok[0]),
+                         *(_unchecked(PriorityVector, weights=w[0]) for w in (ranking, honest)))

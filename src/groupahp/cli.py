@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .aggregate import _wgm_stack
-from .attack import _attack_stack
-from .core import _checked_panel, _ranking
+from .attack import run_attack
+from .core import _ranking
 from .derive import _checked_gmm
 from .errors import DomainError, GroupAHPError, PanelParseError
 from .inconsistency import _stack_cis, _stack_k
@@ -30,7 +30,8 @@ from .montecarlo import (
     headline_stats,
     summarize,
 )
-from .panelio import RunConfig, _load_stack, check_value, load_config, panel_document, save_panel
+from .panelio import (RunConfig, _load_stack, check_value, load_config, load_panel, panel_document,
+                      save_panel)
 from .robust import METHODS, _robust_weights_stack
 
 EXIT_PARSE = 2
@@ -79,17 +80,15 @@ def cmd_aggregate(args) -> int:
 
 
 def cmd_attack(args) -> int:
-    A, ids = _load_stack(args.input)
+    panel, ids = load_panel(args.input)
     config = _load_config(args)
-    M = A[None].copy()
-    queue, used, ok, ranking, honest, _, _ = _attack_stack(M, config.max_bribes, config.saturation)
+    outcome = run_attack(panel, config.max_bribes, config.saturation)
     if args.out:  # a failed write prints nothing
-        M.setflags(write=False)
-        save_panel(args.out, _checked_panel(M[0]), ids)
-    _print_vector("honest aggregate", honest[0])
-    print("bribed:", [ids[q] for q in queue[0, :used[0]].tolist()])
-    _print_vector("manipulated ranking", ranking[0])
-    print("success:", bool(ok[0]))
+        save_panel(args.out, outcome.manipulated_panel, ids)
+    _print_vector("honest aggregate", outcome.honest_ranking.weights)
+    print("bribed:", [ids[q] for q in outcome.bribed_indices])
+    _print_vector("manipulated ranking", outcome.manipulated_ranking.weights)
+    print("success:", outcome.succeeded)
     if args.out:
         print("manipulated panel written to", args.out)
     return 0

@@ -1,7 +1,7 @@
 """Distances between ranking vectors, cardinal and ordinal.
 
-The cardinal distances reduce over the last axis, so one vector against a
-(k, n) stack gives the k distances, each bitwise what a single pair gives.
+Every distance reduces over the last axis, so one vector against a (k, n)
+stack gives the k distances, each bitwise what a single pair gives.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ def _pair(u, v) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _out(d):
-    # a float for one pair, an array for a stack
-    return d if np.ndim(d) else float(d)
+    # a Python number for one pair, an array for a stack
+    return d if np.ndim(d) else d.item()
 
 
 def manhattan(u, v):
@@ -49,18 +49,18 @@ def euclidean(u, v):
     return _out(np.sqrt(np.vecdot(d, d)))
 
 
-def kendall_tau_distance(u, v) -> int:
-    """Number of index pairs whose order disagrees between two vectors u and v.
+def kendall_tau_distance(u, v):
+    """Number of index pairs whose order disagrees between u and v, an int for one pair.
 
     A pair tied in one vector but strictly ordered in the other counts as
     a disagreement (the sign of the difference is compared directly, and
     sign 0 is its own class).
     """
     a, b = _pair(u, v)
-    su = np.sign(a[:, None] - a[None, :])
-    sv = np.sign(b[:, None] - b[None, :])
+    su = np.sign(a[..., :, None] - a[..., None, :])
+    sv = np.sign(b[..., :, None] - b[..., None, :])
     # both sign matrices are exactly antisymmetric: each pair disagrees twice
-    return int(np.count_nonzero(su != sv)) // 2
+    return _out(np.add.reduce(su != sv, axis=(-2, -1)) // 2)
 
 
 CARDINAL_METRICS = {

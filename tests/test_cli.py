@@ -166,7 +166,7 @@ def identity_panels(tmp_path_factory):
 class TestOutputBytes:
     """inspect, aggregate and attack print, byte for byte, what the single-panel API gives;
     attack --out writes what save_panel writes.  inspect and aggregate run on the loaded
-    stack, without the API's domain objects."""
+    stack, without the API's domain objects; attack runs run_attack itself."""
 
     def test_inspect(self, identity_panels, capsys):
         for path in identity_panels:
@@ -223,20 +223,35 @@ class TestOutputBytes:
             for path in identity_panels:
                 assert main([*command, "--input", path]) == 0
 
-    def test_attack(self, identity_panels, tmp_path, capsys):
+    def test_attack(self, identity_panels, tmp_path, capsys, monkeypatch):
+        """The default flags, --max-bribes 0, and saturation 5 and 1e100 through --config, each
+        with --out; then the default flags without --out, which write no file."""
+        cases = [([], {}), (["--max-bribes", "0"], {"max_bribes": 0})]
+        for saturation in (5, 1e100):
+            cfg = tmp_path / f"saturation-{saturation:g}.json"
+            cfg.write_text(json.dumps({"saturation": saturation}))
+            cases.append((["--config", str(cfg)], {"saturation": saturation}))
+        monkeypatch.chdir(tmp_path)  # a file written to a relative path lands here too
         for q, path in enumerate(identity_panels):
             panel, ids = load_panel(path)
-            outcome = run_attack(panel)
-            got_file, want_file = tmp_path / f"got{q}.json", tmp_path / f"want{q}.json"
-            save_panel(want_file, outcome.manipulated_panel, ids)
-            want = [_line("honest aggregate", outcome.honest_ranking.weights),
-                    f"bribed: {[ids[b] for b in outcome.bribed_indices]}",
-                    _line("manipulated ranking", outcome.manipulated_ranking.weights),
-                    f"success: {outcome.succeeded}",
-                    f"manipulated panel written to {got_file}"]
-            assert main(["attack", "--input", path, "--out", str(got_file)]) == 0
-            assert capsys.readouterr().out == "\n".join(want) + "\n", path
-            assert got_file.read_bytes() == want_file.read_bytes(), path
+            for c, (flags, kwargs) in enumerate([*cases, (None, {})]):
+                outcome = run_attack(panel, **kwargs)
+                want = [_line("honest aggregate", outcome.honest_ranking.weights),
+                        f"bribed: {[ids[b] for b in outcome.bribed_indices]}",
+                        _line("manipulated ranking", outcome.manipulated_ranking.weights),
+                        f"success: {outcome.succeeded}"]
+                if flags is None:
+                    files = sorted(tmp_path.rglob("*"))
+                    assert main(["attack", "--input", path]) == 0
+                    assert capsys.readouterr().out == "\n".join(want) + "\n", path
+                    assert sorted(tmp_path.rglob("*")) == files, path
+                    continue
+                got_file, want_file = tmp_path / f"got{q}-{c}.json", tmp_path / f"want{q}-{c}.json"
+                save_panel(want_file, outcome.manipulated_panel, ids)
+                want.append(f"manipulated panel written to {got_file}")
+                assert main(["attack", "--input", path, "--out", str(got_file), *flags]) == 0
+                assert capsys.readouterr().out == "\n".join(want) + "\n", (path, flags)
+                assert got_file.read_bytes() == want_file.read_bytes(), (path, flags)
 
 
 class TestSharedParser:

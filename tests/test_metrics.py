@@ -130,6 +130,19 @@ class TestKendall:
                 a.weights, b.weights
             )
 
+    def test_stack_reduces_over_the_last_axis(self):
+        # row by row, as the cardinal distances do: [0, 3], not one count over the stack
+        a, b = np.array([0.5, 0.3, 0.2]), np.array([0.2, 0.3, 0.5])
+        assert np.array_equal(kendall_tau_distance(np.array([a, b]), np.array([a, a])), [0, 3])
+        rng = np.random.default_rng(7)
+        U, V = rng.integers(1, 4, size=(2, 30, 6)).astype(float)  # small integers: many ties
+        for x, y in ((U, V), (U[0], V), (U, V[0])):
+            got = kendall_tau_distance(x, y)
+            assert got.shape == (30,) and got.dtype.kind == "i"
+            want = [brute_force_kendall(p, q) for p, q in zip(*np.broadcast_arrays(x, y))]
+            assert got.tolist() == want
+        assert type(kendall_tau_distance(U[0], V[0])) is int
+
     @given(
         st.lists(st.integers(1, 4), min_size=2, max_size=12),
         st.lists(st.integers(1, 4), min_size=2, max_size=12),
