@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import (ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, _check_rows, _unchecked,
                    resymmetrize)
-from .derive import _panel_gmm_matrix
+from .derive import _checked_gmm
 from .errors import ShapeError
 
 
@@ -55,9 +55,9 @@ def aip(
 def aggregate_panel(panel: ExpertPanel, r: ExpertWeights | None = None) -> PriorityVector:
     """Group ranking of a panel: AIP over the per-expert GMM priorities.
 
-    Works on the panel's memoised log-GMM matrix.  Equivalent to deriving GMM
-    priorities from the AIJ matrix (the two routes commute under the geometric
-    mean; covered by property tests).
+    Works on the log of one ``_checked_gmm`` of the panel's stack.  Equivalent to
+    deriving GMM priorities from the AIJ matrix (the two routes commute under the
+    geometric mean; covered by property tests).
     """
-    L = _panel_gmm_matrix(panel)[1][None]
+    L = np.log(_checked_gmm(panel.stack))[None]
     return _unchecked(PriorityVector, weights=_wgm_stack(_weights(r, panel.k), L)[0])

@@ -3,8 +3,7 @@
 All types validate their invariants at construction time and are immutable
 afterwards, so instances can be shared freely between threads.  A panel built
 from a (k, n, n) stack is validated as one array, and its slices are not checked
-again.  A PCMatrix memoises its GMM vector and CI, and an ExpertPanel its (k, n)
-GMM matrix and that matrix's log; memo writes are idempotent, so sharing stays safe.
+again.  An instance keeps nothing derived from it: each derivation reads its arrays anew.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ class _ReadOnlyArrays:
 
     def __setstate__(self, state):
         # unpickled arrays come back writable
-        for value in (*state.values(), *state.get("_memo", {}).values()):
+        for value in state.values():
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
         self.__dict__.update(state)
@@ -94,7 +93,6 @@ class PCMatrix(_ReadOnlyArrays):
     """
 
     values: np.ndarray
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         arr = _frozen_array(self.values)
@@ -142,7 +140,6 @@ class ExpertPanel(_ReadOnlyArrays):
 
     matrices: tuple[PCMatrix, ...]
     stack: np.ndarray = field(init=False, repr=False, compare=False)
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mats = tuple(self.matrices)
@@ -170,17 +167,16 @@ class ExpertPanel(_ReadOnlyArrays):
         return self.matrices[0].n
 
 
-def _checked_panel(arr: np.ndarray, cis=None) -> ExpertPanel:
+def _checked_panel(arr: np.ndarray) -> ExpertPanel:
     """The panel whose stack is ``arr``, a read-only (k, n, n) array that passes ``_check_stack``.
 
-    Each matrix is a view of its slice; with ``cis``, each has its CI memoised.
-    ``_check_stack`` passes k = 0, so an empty stack is rejected here.
+    Each matrix is a view of its slice.  ``_check_stack`` passes k = 0, so an
+    empty stack is rejected here.
     """
     if not len(arr):
         raise ShapeError("a panel needs at least one expert")
-    memos = [{} for _ in arr] if cis is None else [{"ci": ci} for ci in cis]
-    matrices = tuple(_unchecked(PCMatrix, values=m, _memo=memo) for m, memo in zip(arr, memos))
-    return _unchecked(ExpertPanel, matrices=matrices, stack=arr, _memo={})
+    matrices = tuple(_unchecked(PCMatrix, values=m) for m in arr)
+    return _unchecked(ExpertPanel, matrices=matrices, stack=arr)
 
 
 @dataclass(frozen=True)

@@ -21,40 +21,21 @@ def _row_gmm(A: np.ndarray) -> np.ndarray:
 
 
 def _checked_gmm(A: np.ndarray) -> np.ndarray:
-    """The checked, read-only (k, n) GMM matrix of a (k, n, n) stack."""
-    G = _check_rows(_row_gmm(A))
+    """The checked, read-only (..., n) GMM vectors of a (..., n, n) stack."""
+    G = _row_gmm(A)
+    _check_rows(G.reshape(-1, G.shape[-1]))
     G.setflags(write=False)
     return G
 
 
 def gmm_priorities(C: PCMatrix) -> PriorityVector:
-    """Geometric mean method: normalized row geometric means, memoised per matrix."""
-    if "gmm" not in C._memo:
-        C._memo["gmm"] = _unchecked(PriorityVector, weights=_checked_gmm(C.values[None])[0])
-    return C._memo["gmm"]
+    """Geometric mean method, normalized row geometric means: ``_checked_gmm`` on a stack of one."""
+    return _unchecked(PriorityVector, weights=_checked_gmm(C.values[None])[0])
 
 
 def panel_gmm(panel: ExpertPanel) -> list[PriorityVector]:
-    """Each expert's GMM vector, from one log-mean over the panel's stack.
-
-    The first call memoises, read-only on the panel, the (k, n) matrix of these
-    vectors and its log, which the aggregation kernels work on, and gives each
-    matrix its row of that matrix.
-    """
-    if "log_gmm" not in panel._memo:
-        G = _checked_gmm(panel.stack)
-        L = np.log(G)
-        L.setflags(write=False)
-        panel._memo.update(gmm=G, log_gmm=L)
-        for m, w in zip(panel.matrices, G):
-            m._memo["gmm"] = _unchecked(PriorityVector, weights=w)
-    return [gmm_priorities(m) for m in panel.matrices]
-
-
-def _panel_gmm_matrix(panel: ExpertPanel) -> tuple[np.ndarray, np.ndarray]:
-    """The panel's read-only (k, n) GMM matrix and its log, through ``panel_gmm``."""
-    panel_gmm(panel)
-    return panel._memo["gmm"], panel._memo["log_gmm"]
+    """Each expert's GMM vector: a read-only row of one ``_checked_gmm`` of the panel's stack."""
+    return [_unchecked(PriorityVector, weights=w) for w in _checked_gmm(panel.stack)]
 
 
 def _power_iterate(A: np.ndarray, v: np.ndarray, lam: np.ndarray) -> None:

@@ -17,23 +17,18 @@ def _stack_cis(A: np.ndarray) -> np.ndarray:
 
 
 def saaty_ci(C: PCMatrix) -> float:
-    """Consistency index (lambda_max - n) / (n - 1).
+    """Consistency index (lambda_max - n) / (n - 1): ``_stack_cis`` on a stack of one.
 
     Mathematically non-negative for reciprocal matrices; tiny negative
     values produced by floating point on consistent matrices are clamped
-    to zero.  Derived once per matrix; later calls return the memoised value.
+    to zero.
     """
-    if "ci" not in C._memo:
-        C._memo["ci"] = float(_stack_cis(C.values[None])[0])
-    return C._memo["ci"]
+    return float(_stack_cis(C.values[None])[0])
 
 
 def panel_cis(panel: ExpertPanel) -> list[float]:
-    """Each expert's CI; a panel that lacks any gets all k from one power iteration."""
-    if any("ci" not in m._memo for m in panel.matrices):
-        for m, ci in zip(panel.matrices, _stack_cis(panel.stack).tolist()):
-            m._memo["ci"] = ci
-    return [saaty_ci(m) for m in panel.matrices]
+    """Each expert's CI, from one power iteration over the panel's stack."""
+    return _stack_cis(panel.stack).tolist()
 
 
 def _stack_k(A: np.ndarray) -> np.ndarray:

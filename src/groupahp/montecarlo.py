@@ -14,14 +14,15 @@ from itertools import product
 
 import numpy as np
 
-from .aggregate import aggregate_panel
+from .aggregate import _wgm_stack
 from .attack import SATURATION, _attack_stack
 from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_stack, _checked_panel, _from_upper,
                    _ranking, consistent_matrix_from_priorities)
+from .derive import _checked_gmm
 from .errors import DomainError, EmptyReportError
-from .inconsistency import _stack_cis, panel_cis, panel_mean_ci
+from .inconsistency import _stack_cis
 from .metrics import kendall_tau_distance, manhattan_mean
-from .robust import METHODS, RobustConfig, _robust_aggregate_stack, robust_aggregate
+from .robust import METHODS, RobustConfig, _robust_aggregate_stack
 
 EPSILON_DISTRIBUTIONS = ("log-uniform", "uniform")
 CI_BUCKET_WIDTH = 0.01  # summary buckets by mean CI
@@ -31,11 +32,15 @@ MAX_ALPHA = 1e90  # base ratios stay below 1e9 (weights > 1e-9), so judgments be
 
 @dataclass(frozen=True)
 class Scenario:
+    """One panel of the corpus, with its experts' CIs ``cis``, a read-only (k,) array, and
+    their mean ``mean_ci``."""
+
     scenario_id: int
     base_vector: PriorityVector
     alpha: float
     panel: ExpertPanel
     mean_ci: float
+    cis: np.ndarray
 
 
 def random_priority_vector(n: int, rng: np.random.Generator) -> PriorityVector:
@@ -118,7 +123,7 @@ def generate_corpus(
     bases are drawn first, in increasing n; then each matrix size's panels
     come from one perturbation draw and one stack check, and their CIs from
     one power iteration.  Each panel is a read-only view of its size's stack,
-    with its matrices' CIs memoised.
+    and each scenario's ``cis`` a read-only view of its size's CIs.
     """
     rng = np.random.default_rng(seed)
     bases: dict[int, list[PriorityVector]] = {}
@@ -135,11 +140,12 @@ def generate_corpus(
     for ws in bases.values():
         C = np.stack([consistent_matrix_from_priorities(w).values for w in ws])
         S = _perturbed_stack(C, alphas, rng, epsilon_distribution, panel_size)
-        cis = _stack_cis(S).tolist()
+        cis = _stack_cis(S).reshape(-1, panel_size)
+        cis.setflags(write=False)
+        means = cis.mean(axis=1).tolist()  # each bit for bit np.mean of its row alone
         for p, (w, alpha) in enumerate(product(ws, alphas)):
-            part = slice(p * panel_size, (p + 1) * panel_size)
-            panel = _checked_panel(S[part], cis[part])
-            corpus.append(Scenario(len(corpus), w, alpha, panel, panel_mean_ci(panel)))
+            panel = _checked_panel(S[p * panel_size:(p + 1) * panel_size])
+            corpus.append(Scenario(len(corpus), w, alpha, panel, means[p], cis[p]))
     return corpus
 
 
@@ -153,15 +159,24 @@ def _column(metric: str, method: str) -> str:
     return f"{metric}_{method.lower()}"
 
 
-def _run_experiment2_one(scenario: Scenario, config: RobustConfig) -> dict:
-    honest = aggregate_panel(scenario.panel)
-    alt = {m: robust_aggregate(scenario.panel, m, config) for m in METHODS}
-    return {
-        "scenario_id": scenario.scenario_id,
-        "mean_ci": scenario.mean_ci,
-        **{_column("manhattan", m): manhattan_mean(honest, a) for m, a in alt.items()},
-        **{_column("kendall", m): kendall_tau_distance(honest, a) for m, a in alt.items()},
-    }
+def _rows_by_shape(scenarios: list[Scenario], cells) -> list[dict]:
+    """One flat row per scenario, in input order, keyed by records.csv column.
+
+    The scenarios are scored in one batch per panel shape: ``cells(A, CI)`` takes the
+    batch's (S, k, n, n) matrices and (S, k) CIs, and returns each further column's
+    S values.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for i, s in enumerate(scenarios):
+        groups.setdefault(s.panel.stack.shape, []).append(i)
+    rows: list[dict] = [{}] * len(scenarios)
+    for idx in groups.values():
+        batch = [scenarios[i] for i in idx]
+        columns = cells(np.stack([s.panel.stack for s in batch]), np.stack([s.cis for s in batch]))
+        for j, (i, s) in enumerate(zip(idx, batch)):
+            rows[i] = {"scenario_id": s.scenario_id, "mean_ci": s.mean_ci,
+                       **{c: v[j] for c, v in columns.items()}}
+    return rows
 
 
 def experiment1(
@@ -173,38 +188,41 @@ def experiment1(
     """Attack every scenario, then score how well each scheme recovers.
 
     Per panel shape: one stacked attack, one CI power iteration of the bribed matrices,
-    and one robust scoring of all methods.  One flat row per scenario, keyed by records.csv column.
+    and one robust scoring of all methods.  One flat row per scenario, in input order,
+    keyed by records.csv column.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i, s in enumerate(scenarios):
-        groups.setdefault(s.panel.stack.shape, []).append(i)
-    rows: list[dict] = [{}] * len(scenarios)
-    for idx in groups.values():
-        A = np.stack([scenarios[i].panel.stack for i in idx])
+    def cells(A, CI):
         queue, used, ok, _, honest, G, L = _attack_stack(A, max_bribes, saturation)
-        CI = np.array([panel_cis(scenarios[i].panel) for i in idx])
         p, b = np.nonzero(np.arange(queue.shape[1]) < used[:, None])
         CI[p, queue[p, b]] = _stack_cis(A[p, queue[p, b]])
         restored = dict(zip(METHODS, _robust_aggregate_stack(G, L, CI, config)))
-        cells = {**{_column("class", m): _classify(honest, r) for m, r in restored.items()},
-                 **{_column("manhattan", m): manhattan_mean(honest, r).tolist()
-                    for m, r in restored.items()}}
-        for j, i in enumerate(idx):
-            rows[i] = {"scenario_id": scenarios[i].scenario_id, "mean_ci": scenarios[i].mean_ci,
-                       "bribes_used": int(used[j]), "attack_succeeded": int(ok[j]),
-                       **{c: v[j] for c, v in cells.items()}}
-    return rows
+        return {"bribes_used": used.tolist(), "attack_succeeded": ok.astype(int).tolist(),
+                **{_column("class", m): _classify(honest, r) for m, r in restored.items()},
+                **{_column("manhattan", m): manhattan_mean(honest, r).tolist()
+                   for m, r in restored.items()}}
+    return _rows_by_shape(scenarios, cells)
 
 
 def experiment2(
     scenarios: list[Scenario],
     config: RobustConfig = RobustConfig(),
 ) -> list[dict]:
-    """Compare honest aggregation against the robust schemes, no attack, scenario by scenario.
+    """Compare honest aggregation against the robust schemes, no attack.
 
-    Returns one flat row per scenario, keyed by the records.csv columns.
+    Per panel shape: one log-mean for the GMM vectors, and one robust scoring of all methods
+    against the equal-weight aggregate.  One flat row per scenario, in input order, keyed by
+    records.csv column.
     """
-    return [_run_experiment2_one(s, config) for s in scenarios]
+    def cells(A, CI):
+        G = _checked_gmm(A)
+        L = np.log(G)
+        honest = _wgm_stack(None, L)
+        restored = dict(zip(METHODS, _robust_aggregate_stack(G, L, CI, config)))
+        return {**{_column("manhattan", m): manhattan_mean(honest, r).tolist()
+                   for m, r in restored.items()},
+                **{_column("kendall", m): kendall_tau_distance(honest, r).tolist()
+                   for m, r in restored.items()}}
+    return _rows_by_shape(scenarios, cells)
 
 
 def _bucket(ci: float) -> float:

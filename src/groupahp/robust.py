@@ -15,7 +15,7 @@ import numpy as np
 
 from .aggregate import _wgm_stack, aggregate_panel
 from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, _check_rows
-from .derive import _panel_gmm_matrix, gmm_priorities
+from .derive import _checked_gmm, gmm_priorities
 from .errors import CredibilityOrderError, DomainError
 from .inconsistency import panel_cis
 from .metrics import CARDINAL_METRICS
@@ -97,8 +97,8 @@ def preferential_distances(
     panel: ExpertPanel, metric: MetricName = RobustConfig.metric
 ) -> np.ndarray:
     """Distance of each expert's GMM vector from the equal-weight aggregate."""
-    G, L = _panel_gmm_matrix(panel)
-    return _metric(metric)(_wgm_stack(None, L[None]), G)
+    G = _checked_gmm(panel.stack)
+    return _metric(metric)(_wgm_stack(None, np.log(G)[None]), G)
 
 
 def _centred(CI: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 This module imports only numpy and shares no code with ``groupahp``, whose kernels work on
 whole stacks of matrices at once.  Where a result is discrete (a ranking, a bribe queue, the
-success test), the attack also returns its smallest deciding margin, so that a caller can skip
-a case that rounding could decide either way.
+success test, a weighting's equal-weight test or middle anchor, a Kendall distance), the function
+also returns its smallest deciding margin, so that a caller can skip a case that rounding could
+decide either way.
 """
 
 from __future__ import annotations
@@ -103,3 +104,109 @@ def attack(stack: np.ndarray, max_bribes: int | None = None, saturation: float =
         "honest": honest,
         "margin": min(margins),
     }
+
+
+UNIFORM_SPAN = 1e-12  # anchors closer than this give every expert the same weight
+
+
+def _line(x: float, x0: float, y0: float, x1: float, y1: float) -> float:
+    """The straight line through (x0, y0) and (x1, y1), at x."""
+    slope = (y1 - y0) / (x1 - x0)
+    return y0 + slope * (x - x0)
+
+
+def _normalised(f: list) -> np.ndarray:
+    total = sum(f)
+    return np.array([x / total for x in f])
+
+
+def _span_margin(lo: float, hi: float) -> float:
+    """How far the span hi - lo is from the equal-weight threshold; equal values (one expert,
+    or experts with equal matrices) are equal in any implementation, so decide nothing."""
+    return abs(hi - lo - UNIFORM_SPAN) if hi > lo else np.inf
+
+
+def distance(u: np.ndarray, v: np.ndarray, metric: str) -> float:
+    """The sum ("manhattan"), the root of the sum of squares ("euclidean") or the largest
+    ("chebyshev") of the componentwise gaps |u_i - v_i|."""
+    gaps = [abs(a - b) for a, b in zip(u, v)]
+    if metric == "manhattan":
+        return sum(gaps)
+    if metric == "euclidean":
+        return sum(g * g for g in gaps) ** 0.5
+    return max(gaps)
+
+
+def apdd_weights(G: np.ndarray, h: float, l: float, metric: str) -> tuple[np.ndarray, float]:
+    """APDD: each expert's distance d_q from the equal-weight AIP of the GMM vectors G (k, n),
+    mapped by the line from (d_min, h) to (d_max, l) and normalised; equal weights when
+    d_max - d_min < 1e-12.  Also returns that test's margin."""
+    group = aip(G)
+    d = [distance(group, g, metric) for g in G]
+    lo, hi = min(d), max(d)
+    margin = _span_margin(lo, hi)
+    if hi - lo < UNIFORM_SPAN:
+        return np.full(len(d), 1.0 / len(d)), margin
+    return _normalised([_line(x, lo, h, hi, l) for x in d]), margin
+
+
+def aid_weights(cis, h: float, m: float, l: float) -> tuple[np.ndarray, float]:
+    """AID: each expert's CI deviation d_q = CI_q - mean CI, mapped through the anchors and
+    normalised.  The smallest deviation gets h and the largest l.  The middle anchor is the
+    deviation strictly between them that is nearest zero, the lower of an exact |d| tie, and
+    gets m; each side of it is a line.  With no deviation strictly between, the map is the line
+    from (d_min, h) to (d_max, l).  Equal weights when d_max - d_min < 1e-12.
+
+    Also returns the smallest margin of those choices: the equal-weight test's, and the gap
+    between the nearest-zero |d| and the next one."""
+    mean = sum(cis) / len(cis)
+    d = [c - mean for c in cis]
+    lo, hi = min(d), max(d)
+    margins = [_span_margin(lo, hi)]
+    if hi - lo < UNIFORM_SPAN:
+        return np.full(len(d), 1.0 / len(d)), margins[0]
+    inner = sorted({x for x in d if lo < x < hi}, key=lambda x: (abs(x), x))
+    if not inner:
+        return _normalised([_line(x, lo, h, hi, l) for x in d]), margins[0]
+    mid = inner[0]
+    margins += [abs(inner[1]) - abs(mid)] if len(inner) > 1 else []
+    f = [_line(x, lo, h, mid, m) if x <= mid else _line(x, mid, m, hi, l) for x in d]
+    return _normalised(f), min(margins)
+
+
+def robust_weights(G: np.ndarray, cis, config) -> tuple[dict[str, np.ndarray], float]:
+    """The APDD, AID and MX weights of one panel, from its GMM vectors G (k, n) and its CIs,
+    with the smallest margin of their choices.  ``config`` gives the anchors scale2 (h, l) and
+    scale3 (h, m, l), the metric, and beta, MX's share of APDD: MX = beta APDD + (1 - beta) AID."""
+    s2, s3, beta = config.scale2, config.scale3, config.beta
+    apdd, apdd_margin = apdd_weights(G, s2.h, s2.l, config.metric)
+    aid, aid_margin = aid_weights(cis, s3.h, s3.m, s3.l)
+    mx = np.array([beta * a + (1.0 - beta) * b for a, b in zip(apdd, aid)])
+    return {"APDD": apdd, "AID": aid, "MX": mx}, min(apdd_margin, aid_margin)
+
+
+def kendall(u: np.ndarray, v: np.ndarray) -> tuple[int, float]:
+    """The number of index pairs i < j whose order differs between u and v (a tie is an order
+    of its own), and the smallest gap between two entries of either vector."""
+    pairs = [(i, j) for i in range(len(u)) for j in range(i + 1, len(u))]
+    count = sum(np.sign(u[i] - u[j]) != np.sign(v[i] - v[j]) for i, j in pairs)
+    margin = min(abs(w[i] - w[j]) for w in (u, v) for i, j in pairs)
+    return int(count), margin
+
+
+def experiment2_row(scenario_id: int, stack: np.ndarray, cis, config) -> tuple[dict, float]:
+    """Experiment 2's row for one panel, a (k, n, n) array with CIs ``cis``: its mean CI, and for
+    each method the mean absolute gap (the Manhattan distance over n) and the Kendall distance
+    between the equal-weight AIP and the AIP with the method's weights.  Also returns the
+    smallest margin that decided the weights or a Kendall distance."""
+    G = np.array([gmm(A) for A in stack])
+    honest = aip(G)
+    weights, margin = robust_weights(G, cis, config)
+    restored = {method: aip(G, w) for method, w in weights.items()}
+    row = {"scenario_id": scenario_id, "mean_ci": sum(cis) / len(cis)}
+    for method, r in restored.items():
+        row[f"manhattan_{method.lower()}"] = distance(honest, r, "manhattan") / len(r)
+    for method, r in restored.items():
+        row[f"kendall_{method.lower()}"], gap = kendall(honest, r)
+        margin = min(margin, gap)
+    return row, margin

@@ -21,7 +21,7 @@ from groupahp import (
     resymmetrize,
 )
 from groupahp.core import MAX_JUDGMENT, _check_rows, _from_upper
-from groupahp.derive import _panel_gmm_matrix
+from groupahp.derive import _checked_gmm
 from tests.conftest import random_pcm
 
 positive_weights = st.lists(
@@ -138,7 +138,6 @@ class TestFromStack:
             assert not m.values.flags.writeable
         stack[0, 0, 1] = 100.0  # the panel holds its own copy
         assert panel.matrices[0].values[0, 1] != 100.0
-        assert panel.matrices[0]._memo is not panel.matrices[1]._memo
 
     @given(
         k=st.integers(1, 24),
@@ -192,10 +191,12 @@ class TestFromRows:
     def test_wraps_read_only_rows(self):
         rng = np.random.default_rng(9)
         panel = ExpertPanel(tuple(random_pcm(3, rng) for _ in range(2)))
-        G, _ = _panel_gmm_matrix(panel)
-        for v, row in zip(panel_gmm(panel), G):
+        G = _checked_gmm(panel.stack)
+        vectors = panel_gmm(panel)
+        for v, row in zip(vectors, G, strict=True):
             assert isinstance(v, PriorityVector)
-            assert v.weights.base is G and np.array_equal(v.weights, row)
+            assert v.weights.base is vectors[0].weights.base  # rows of one (k, n) array
+            assert np.array_equal(v.weights, row)
             assert not v.weights.flags.writeable
 
     @pytest.mark.parametrize(
@@ -310,10 +311,13 @@ class TestPickle:
             getattr(copy, attr)[0] = 1.0
 
     def test_memoised_vector_comes_back_read_only(self):
-        m = pcm_from_upper_triangle(3, [2.0, 4.0, 0.5])
-        gmm_priorities(m)
-        copy = pickle.loads(pickle.dumps(m))
-        assert not gmm_priorities(copy).weights.flags.writeable
+        # a vector derived from an unpickled matrix is read-only, and pickles back read-only
+        m = pickle.loads(pickle.dumps(pcm_from_upper_triangle(3, [2.0, 4.0, 0.5])))
+        v = gmm_priorities(m)
+        assert not v.weights.flags.writeable
+        copy = pickle.loads(pickle.dumps(v))
+        assert copy.weights.tobytes() == v.weights.tobytes()
+        assert not copy.weights.flags.writeable
 
     @pytest.mark.parametrize("made", ["from_stack", "matrices"])
     def test_panel_round_trip_keeps_its_stack(self, made):
@@ -328,15 +332,4 @@ class TestPickle:
             copy.stack[0, 0, 1] = 2.0
         for m, values in zip(copy.matrices, copy.stack):
             assert np.array_equal(m.values, values)
-
-    def test_panel_memo_comes_back_read_only(self):
-        rng = np.random.default_rng(3)
-        panel = ExpertPanel.from_stack(np.stack([random_pcm(4, rng).values for _ in range(3)]))
-        panel_gmm(panel)
-        copy = pickle.loads(pickle.dumps(panel))
-        assert copy._memo.keys() == panel._memo.keys() == {"gmm", "log_gmm"}
-        for key, value in copy._memo.items():
-            assert np.array_equal(value, panel._memo[key])
-            assert not value.flags.writeable
-        for m in copy.matrices:
             assert not m.values.flags.writeable

@@ -107,29 +107,34 @@ class TestEVM:
 
 
 class TestGMMMemo:
+    """``gmm_priorities`` keeps nothing on the matrix: each call derives the vector afresh."""
+
     def test_repeated_call_returns_the_same_vector(self):
         m = random_pcm(5, np.random.default_rng(41))
-        assert gmm_priorities(m) is gmm_priorities(m)
+        first, again = gmm_priorities(m), gmm_priorities(m)
+        assert first.weights.tobytes() == again.weights.tobytes()
+        assert not (first.weights.flags.writeable or again.weights.flags.writeable)
 
     def test_new_matrices_get_their_own_vector(self):
         rng = np.random.default_rng(43)
         m = random_pcm(5, rng)
-        source = gmm_priorities(m)  # fill the source's memo first
+        source = gmm_priorities(m)
         for how, d in derived_matrices(m, rng).items():
             fresh = gmm_priorities(PCMatrix(d.values.copy())).weights
-            assert gmm_priorities(d) is not source, how
+            assert not np.array_equal(gmm_priorities(d).weights, source.weights), how
             assert np.array_equal(gmm_priorities(d).weights, fresh), how
 
     def test_pickle_round_trip_is_bitwise_equal(self):
         m = random_pcm(6, np.random.default_rng(47))
-        before = pickle.loads(pickle.dumps(m))  # memo still empty
+        before = pickle.loads(pickle.dumps(m))
         w = gmm_priorities(m)
-        after = pickle.loads(pickle.dumps(m))  # memo carried along
+        after = pickle.loads(pickle.dumps(m))
         for copy in (before, after):
             assert np.array_equal(gmm_priorities(copy).weights, w.weights)
             assert not copy.values.flags.writeable
 
     def test_memo_is_not_in_repr(self):
+        # a derivation leaves the matrix as it was: its repr shows its values only
         m = random_pcm(3, np.random.default_rng(53))
         gmm_priorities(m)
-        assert repr(m) == repr(PCMatrix(m.values.copy()))
+        assert repr(m) == f"PCMatrix(values={m.values!r})" == repr(PCMatrix(m.values.copy()))

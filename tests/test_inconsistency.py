@@ -61,29 +61,32 @@ class TestSaatyCI:
 
 
 class TestSaatyCIMemo:
+    """``saaty_ci`` keeps nothing on the matrix: each call derives the CI afresh."""
+
     def test_repeated_call_returns_the_same_value(self):
         m = random_pcm(5, np.random.default_rng(59))
-        assert saaty_ci(m) is saaty_ci(m)
+        assert saaty_ci(m).hex() == saaty_ci(m).hex()
 
     def test_new_matrices_get_their_own_value(self):
         rng = np.random.default_rng(61)
         m = random_pcm(5, rng)
-        source = saaty_ci(m)  # fill the source's memo first
+        source = saaty_ci(m)
         for how, d in derived_matrices(m, rng).items():
             fresh = saaty_ci(PCMatrix(d.values.copy()))
             assert saaty_ci(d) == fresh and saaty_ci(d) != source, how
 
     def test_pickle_round_trip_is_bitwise_equal(self):
         m = random_pcm(6, np.random.default_rng(67))
-        before = pickle.loads(pickle.dumps(m))  # memo still empty
+        before = pickle.loads(pickle.dumps(m))
         ci = saaty_ci(m)
-        after = pickle.loads(pickle.dumps(m))  # memo carried along
+        after = pickle.loads(pickle.dumps(m))
         assert saaty_ci(before) == ci and saaty_ci(after) == ci
 
     def test_memo_is_not_in_repr(self):
+        # a derivation leaves the matrix as it was: its repr shows its values only
         m = random_pcm(3, np.random.default_rng(71))
         saaty_ci(m)
-        assert repr(m) == repr(PCMatrix(m.values.copy()))
+        assert repr(m) == f"PCMatrix(values={m.values!r})" == repr(PCMatrix(m.values.copy()))
 
 
 class TestKoczkodaj:

@@ -17,6 +17,7 @@ from groupahp import (
     kendall_tau_distance,
     load_panel,
     manhattan_mean,
+    panel_cis,
     panel_mean_ci,
     perturb,
     random_priority_vector,
@@ -215,9 +216,30 @@ class TestExperiments:
                 mock.patch.object(inconsistency, "evm_stack", wraps=inconsistency.evm_stack) as power:
             experiment1(corpus)
         # one stacked attack over each size's 20 panels, and one power iteration over
-        # each size's bribed matrices (the corpus's own CIs are memoised)
+        # each size's bribed matrices (the corpus's own CIs come with its scenarios)
         assert [c.args[0].shape for c in attack.call_args_list] == [(20, 4, 4, 4), (20, 4, 5, 5)]
         assert [c.args[0].shape[1:] for c in power.call_args_list] == [(4, 4), (5, 5)]
+
+    def test_experiment2_is_one_batch_per_matrix_size(self):
+        corpus = two_chunk_corpus()
+        matrices = {m.tobytes() for s in corpus for m in s.panel.stack}
+        with mock.patch.object(montecarlo, "_robust_aggregate_stack",
+                               wraps=montecarlo._robust_aggregate_stack) as scoring, \
+                mock.patch.object(inconsistency, "evm_stack", wraps=inconsistency.evm_stack) as power:
+            experiment2(corpus)
+            # one robust scoring of each size's 20 panels
+            assert [c.args[0].shape for c in scoring.call_args_list] == [(20, 4, 4), (20, 4, 5)]
+            experiment1(corpus)
+        # both experiments take the corpus's CIs from its scenarios; only experiment 1's
+        # bribed matrices go through the power iteration
+        assert power.call_count == 2
+        assert not any(m.tobytes() in matrices for c in power.call_args_list for m in c.args[0])
+        # sizes that interleave (n = 5, 3, 5): the rows come back in input order
+        scenarios = [drawn_scenario(sid, n, 4, 2.0, seed)
+                     for sid, n, seed in ((7, 5, 1), (3, 3, 2), (5, 5, 3))]
+        rows = experiment2(scenarios)
+        assert [r["scenario_id"] for r in rows] == [7, 3, 5]
+        assert rows == [experiment2_one_at_a_time(s, RobustConfig()) for s in scenarios]
 
     def test_summary_rows_sorted_and_typed(self, exp1):
         rows = summarize(exp1)
@@ -362,7 +384,9 @@ def drawn_scenario(sid, n, k, alpha, seed) -> Scenario:
     rng = np.random.default_rng(seed)
     w = PriorityVector.from_raw(rng.dirichlet(np.ones(n)) + 1e-3)
     panel = perturb(consistent_matrix_from_priorities(w), alpha, rng, "log-uniform", k)
-    return Scenario(sid, w, alpha, panel, panel_mean_ci(panel))
+    cis = np.array(panel_cis(panel))
+    cis.setflags(write=False)
+    return Scenario(sid, w, alpha, panel, float(np.mean(cis)), cis)
 
 
 scenario_draws = st.lists(

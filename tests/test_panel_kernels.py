@@ -72,31 +72,17 @@ def fresh(m: PCMatrix) -> PCMatrix:
 @given(panels)
 @settings(max_examples=60, deadline=None)
 def test_panel_kernels_match_single_matrix_derivation(panel):
-    cis = panel_cis(panel)
-    vectors = panel_gmm(panel)
-    for m, ci, v in zip(panel.matrices, cis, vectors):
-        assert ci >= 0.0
-        assert ci == saaty_ci(fresh(m))
-        assert np.array_equal(v.weights, gmm_priorities(fresh(m)).weights)
-
-
-@given(panels, st.data())
-@settings(max_examples=40, deadline=None)
-def test_partly_memoised_panel_keeps_what_it_has(panel, data):
-    # copies, so that no matrix shares a memo with another panel position
-    panel = ExpertPanel(tuple(fresh(m) for m in panel.matrices))
-    known = data.draw(st.sets(st.integers(0, panel.k - 1)))
-    before = {i: (saaty_ci(panel.matrices[i]), gmm_priorities(panel.matrices[i])) for i in known}
     with mock.patch.object(inconsistency, "evm_stack", wraps=evm_stack) as power:
         cis = panel_cis(panel)
     with mock.patch.object(derive, "_row_gmm", wraps=derive._row_gmm) as log_mean:
         vectors = panel_gmm(panel)
-    # CIs: one power iteration over all k if any is missing; GMM: one log-mean over all k
-    some_missing = len(known) < panel.k
-    assert [c.args[0].shape[0] for c in power.call_args_list] == [panel.k] * some_missing
+    # one power iteration and one log-mean, each over all k matrices
+    assert [c.args[0].shape[0] for c in power.call_args_list] == [panel.k]
     assert [c.args[0].shape[0] for c in log_mean.call_args_list] == [panel.k]
-    for i, (ci, v) in before.items():
-        assert cis[i] == ci and vectors[i].weights.tobytes() == v.weights.tobytes()
+    for m, ci, v in zip(panel.matrices, cis, vectors):
+        assert ci >= 0.0
+        assert ci == saaty_ci(fresh(m))
+        assert np.array_equal(v.weights, gmm_priorities(fresh(m)).weights)
 
 
 def reference_corpus(seed, counts, alphas, k, distribution):
@@ -144,7 +130,8 @@ def test_generate_corpus_matches_per_panel_draws(seed, counts, alphas, k, distri
         assert np.array_equal(s.base_vector.weights, w.weights)
         assert s.panel.stack.tobytes() == panel.stack.tobytes()
         assert not s.panel.stack.flags.writeable
-        assert [m._memo["ci"] for m in s.panel.matrices] == ref_cis
+        assert s.cis.tolist() == ref_cis
+        assert not s.cis.flags.writeable
         assert s.mean_ci == float(np.mean(ref_cis))
 
 
@@ -271,11 +258,8 @@ def reference_aip(vectors, w) -> np.ndarray:
 @given(panels, st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_aggregation_kernel_on_the_panel_memo(panel, seed):
+    # aggregate_panel and preferential_distances work on the logs of panel_gmm's vectors
     vectors = panel_gmm(panel)
-    G, L = panel._memo["gmm"], panel._memo["log_gmm"]
-    assert np.array_equal(G, np.stack([v.weights for v in vectors]))
-    assert np.array_equal(L, np.log(G))
-    assert not (G.flags.writeable or L.flags.writeable)
     w = np.random.default_rng(seed).dirichlet(np.ones(panel.k))
     for r, weights in ((None, np.full(panel.k, 1.0 / panel.k)), (ExpertWeights(w), w)):
         expected = reference_aip(vectors, weights)
@@ -285,19 +269,3 @@ def test_aggregation_kernel_on_the_panel_memo(panel, seed):
     for metric, dist in CARDINAL_METRICS.items():
         expected = [dist(group, v) for v in vectors]
         assert preferential_distances(panel, metric).tolist() == expected
-
-
-def test_panel_memo_is_filled_once():
-    rng = np.random.default_rng(29)
-    panel = ExpertPanel(tuple(random_pcm(5, rng) for _ in range(4)))
-    first = panel_gmm(panel)
-    G = panel._memo["gmm"]
-    assert panel_gmm(panel) == first
-    aggregate_panel(panel)
-    assert panel._memo["gmm"] is G
-    # a panel with one expert swapped out is a new panel with its own memo
-    other = ExpertPanel((random_pcm(5, rng), *panel.matrices[1:]))
-    assert not other._memo
-    aggregate_panel(other)
-    assert not np.array_equal(other._memo["gmm"][0], G[0])
-    assert np.array_equal(other._memo["gmm"][1:], G[1:])

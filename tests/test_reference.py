@@ -2,8 +2,10 @@
 shares no code with it.  Seeded panels have k = 1..20 experts, n = 2..9 alternatives and
 judgments perturbed by factors up to alpha = 9 either way.  Vectors agree to rtol 1e-12 and
 CIs to atol 1e-9 (LAPACK and the power iteration differ by up to about 3e-11 at alpha = 81);
-bribed experts and success agree exactly, except where the reference's deciding margin is
-within 1e-9, and such skipped cases are counted and bounded."""
+bribed experts, success and Kendall distances agree exactly, except where the reference's
+deciding margin is within 1e-9, and such skipped cases are counted and bounded.  AID and the
+experiment-2 row take the package's CIs, checked here against the reference's, because AID's
+lines magnify the CIs' 3e-11 far past rtol 1e-12."""
 
 import ast
 import json
@@ -11,14 +13,19 @@ import json
 import numpy as np
 import pytest
 
-from groupahp import (ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, aggregate_panel, aip,
-                      gmm_priorities, panel_cis, panel_gmm, run_attack, saaty_ci)
+from groupahp import (ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, RobustConfig, Scenario,
+                      aggregate_panel, aid_weights, aip, apdd_weights, gmm_priorities, mx_weights,
+                      panel_cis, panel_gmm, run_attack, saaty_ci)
 from groupahp.cli import main
+from groupahp.montecarlo import experiment2
 from tests import reference
 
 CASES = 300
 MARGIN = 1e-9  # a discrete outcome the reference decides by less is not compared
 MAX_SKIPPED = 6  # 2% of the cases: a guard that skips more hides what it guards
+# a case's weighting config is CONFIGS[seed % 3]: each metric, and MX leaning either way
+CONFIGS = (RobustConfig(), RobustConfig(beta=0.2, metric="euclidean"),
+           RobustConfig(beta=0.9, metric="chebyshev"))
 
 
 def seeded_case(seed: int) -> dict:
@@ -41,6 +48,8 @@ def seeded_case(seed: int) -> dict:
     budgets = [None, 0, 1, 2, k + 1]
     return {
         "stack": stack,
+        "base": w / w.sum(),
+        "config": CONFIGS[seed % len(CONFIGS)],
         "weights": weights / weights.sum(),
         "max_bribes": budgets[rng.integers(len(budgets))],
         "saturation": 9.0 if rng.random() < 0.5 else float(rng.uniform(1.5, 9.0)),
@@ -117,4 +126,47 @@ def test_attack_command(cases, attacks, tmp_path, capsys):
         lines = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
         assert ast.literal_eval(lines["bribed"]) == [ids[q] for q in want["bribed"]], seed
         assert lines["success"] == str(want["succeeded"]), seed
+    assert skipped <= MAX_SKIPPED
+
+
+def test_robust_weights(cases):
+    skipped = 0
+    for seed, c in enumerate(cases):
+        panel, config = ExpertPanel.from_stack(c["stack"]), c["config"]
+        G = np.array([reference.gmm(A) for A in c["stack"]])
+        want, margin = reference.robust_weights(G, panel_cis(panel), config)
+        if margin <= MARGIN:
+            skipped += 1
+            continue
+        for method, weights in (("APDD", apdd_weights), ("AID", aid_weights), ("MX", mx_weights)):
+            close(weights(panel, config).r, want[method])
+    assert skipped <= MAX_SKIPPED
+
+
+def test_experiment2_rows(cases):
+    """Each config's panels in one ``experiment2`` call, so that panels of a shape share a batch."""
+    skipped = 0
+    for config in CONFIGS:
+        scenarios, wanted = [], []
+        for seed, c in enumerate(cases):
+            if c["config"] is not config:
+                continue
+            panel = ExpertPanel.from_stack(c["stack"])
+            cis = np.array(panel_cis(panel))
+            cis.setflags(write=False)
+            scenarios.append(Scenario(seed, PriorityVector(c["base"]), 1.0, panel,
+                                      float(np.mean(cis)), cis))
+            wanted.append(reference.experiment2_row(seed, c["stack"], cis.tolist(), config))
+        for got, (want, margin) in zip(experiment2(scenarios, config), wanted, strict=True):
+            if margin <= MARGIN:
+                skipped += 1
+                continue
+            assert got.keys() == want.keys()
+            assert got["scenario_id"] == want["scenario_id"]
+            for column in got:
+                if column.startswith(("mean_ci", "manhattan")):
+                    # a gap between entries up to 1 keeps their absolute rounding, about 1e-16
+                    np.testing.assert_allclose(got[column], want[column], rtol=1e-12, atol=1e-15)
+                elif column.startswith("kendall"):
+                    assert got[column] == want[column], (got["scenario_id"], column)
     assert skipped <= MAX_SKIPPED
