@@ -15,7 +15,7 @@ import numpy as np
 from .aggregate import _wgm_stack
 from .core import (MAX_JUDGMENT, ExpertPanel, PCMatrix, PriorityVector, _check_rows,
                    _checked_panel, _ranking, _unchecked)
-from .derive import _row_gmm
+from .derive import _checked_gmm, _row_gmm
 from .errors import DomainError, ShapeError
 
 SATURATION = 9.0  # the top of Saaty's 1-9 scale
@@ -56,15 +56,15 @@ def bribe_matrix(C: PCMatrix, promoted: int, demoted: int,
     return PCMatrix(m[0])
 
 
-def _attack_stack(A, max_bribes: int | None, saturation: float):
-    """Attack S panels with (S, k, n, n) matrices A, rewritten in place.
+def _attack_stack(A, G, max_bribes: int | None, saturation: float):
+    """Attack S panels with (S, k, n, n) matrices A and their checked (S, k, n) GMM vectors G,
+    both rewritten in place: only a bribed matrix's vector is derived again.
 
     Support is ranked once, as nobody is bribed twice; step b bribes the b-th queued
     expert of every panel not yet flipped.  Returns the (S, budget) queues, bribes used,
-    success flags, manipulated and honest aggregates, and final GMM vectors and logs."""
+    success flags, manipulated and honest aggregates, and the final GMM vectors' logs."""
     _check_saturation(saturation)
-    S, k, n = A.shape[:3]
-    G = _check_rows(_row_gmm(A).reshape(S * k, n)).reshape(S, k, n)
+    S, k = A.shape[:2]
     L = np.log(G)
     honest = _wgm_stack(None, L)
     winner, runner_up = _ranking(honest)[:, :2].T
@@ -82,7 +82,7 @@ def _attack_stack(A, max_bribes: int | None, saturation: float):
         r = _wgm_stack(None, L[s])
         # argmax takes the first of a tie, as the stable ranking does
         ranking[s], used[s], succeeded[s] = r, b + 1, r.argmax(axis=1) == runner_up[s]
-    return queue, used, succeeded, ranking, honest, G, L
+    return queue, used, succeeded, ranking, honest, L
 
 
 def run_attack(
@@ -90,8 +90,8 @@ def run_attack(
 ) -> AttackOutcome:
     """Bribe experts one by one until the honest runner-up tops the ranking:
     ``_attack_stack`` on a batch of one."""
-    A = panel.stack[None].copy()
-    queue, used, ok, ranking, honest, _, _ = _attack_stack(A, max_bribes, saturation)
+    A, G = panel.stack[None].copy(), _checked_gmm(panel.stack[None]).copy()
+    queue, used, ok, ranking, honest, _ = _attack_stack(A, G, max_bribes, saturation)
     A.setflags(write=False)
     ranking.setflags(write=False)  # both aggregates passed _wgm_stack's row check
     bribed = tuple(queue[0, :used[0]].tolist())

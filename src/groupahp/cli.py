@@ -64,7 +64,7 @@ def cmd_aggregate(args) -> int:
     G = _checked_gmm(A)
     for eid, v in zip(ids, G):
         _print_vector(f"priorities {eid}", v)
-    CI = _stack_cis(A)
+    CI = _stack_cis(A, G)
     for eid, ci in zip(ids, CI.tolist()):
         print(f"CI {eid}: {_fmt(ci)}")
     L, W = np.log(G)[None], None

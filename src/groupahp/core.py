@@ -1,14 +1,16 @@
 """Domain types: pairwise comparison matrices, priority vectors, expert panels.
 
 All types validate their invariants at construction time and are immutable
-afterwards, so instances can be shared freely between threads.  A panel built
-from a (k, n, n) stack is validated as one array, and its slices are not checked
-again.  An instance keeps nothing derived from it: each derivation reads its arrays anew.
+afterwards, so instances can be shared freely between threads.  A panel is its
+(k, n, n) stack, validated as one array; its matrices are views of the stack's
+slices, not checked again.  An instance keeps nothing derived from it: each
+derivation reads its arrays anew.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -133,50 +135,51 @@ class PriorityVector(_ReadOnlyArrays):
         return _ranking(self.weights)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class ExpertPanel(_ReadOnlyArrays):
-    """Ordered collection of comparison matrices over the same alternatives, and their
-    read-only (k, n, n) ``stack``: stacked once here, or the checked stack it was made from."""
+    """Comparison matrices over the same alternatives, held as one read-only (k, n, n) ``stack``:
+    stacked once from ``ExpertPanel(matrices)``, or the checked stack it was made from."""
 
-    matrices: tuple[PCMatrix, ...]
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
+    stack: np.ndarray
 
-    def __post_init__(self):
-        mats = tuple(self.matrices)
+    def __init__(self, matrices):
+        mats = tuple(matrices)
         if not mats:
             raise ShapeError("a panel needs at least one expert")
-        n = mats[0].n
-        if any(m.n != n for m in mats):
+        if any(m.n != mats[0].n for m in mats):
             raise ShapeError("all panel matrices must share the same size")
-        object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "stack", _frozen_array([m.values for m in mats]))
 
     @classmethod
     def from_stack(cls, A) -> "ExpertPanel":
-        """Validate a (k, n, n) stack once and wrap each read-only slice as a PCMatrix."""
+        """Copy a (k, n, n) stack and validate it once."""
         arr = _frozen_array(A)
         _check_stack(arr)
         return _checked_panel(arr)
 
+    @cached_property
+    def matrices(self) -> tuple[PCMatrix, ...]:
+        """Each expert's matrix, a read-only view of its slice of the stack, made on first read."""
+        return tuple(_unchecked(PCMatrix, values=m) for m in self.stack)
+
+    def __getstate__(self):
+        return {"stack": self.stack}  # not the matrices, which are views of it
+
     @property
     def k(self) -> int:
-        return len(self.matrices)
+        return len(self.stack)
 
     @property
     def n(self) -> int:
-        return self.matrices[0].n
+        return self.stack.shape[-1]
 
 
 def _checked_panel(arr: np.ndarray) -> ExpertPanel:
-    """The panel whose stack is ``arr``, a read-only (k, n, n) array that passes ``_check_stack``.
-
-    Each matrix is a view of its slice.  ``_check_stack`` passes k = 0, so an
-    empty stack is rejected here.
-    """
+    """The panel whose stack is ``arr``, a read-only (k, n, n) array that passes ``_check_stack``,
+    which passes k = 0: an empty stack is rejected here."""
     if not len(arr):
         raise ShapeError("a panel needs at least one expert")
-    matrices = tuple(_unchecked(PCMatrix, values=m) for m in arr)
-    return _unchecked(ExpertPanel, matrices=matrices, stack=arr)
+    return _unchecked(ExpertPanel, stack=arr)
 
 
 @dataclass(frozen=True)

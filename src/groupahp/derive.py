@@ -81,7 +81,12 @@ def evm_stack(A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The stack is iterated ``EVM_SLAB`` matrices at a time, which bounds the
     memory of a block's vectors.
     """
-    v, lam = _row_gmm(A), np.full(len(A), np.nan)
+    return _evm_stack(A, _row_gmm(A))
+
+
+def _evm_stack(A: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``evm_stack`` started from the (k, n) vectors ``v``, which it overwrites."""
+    lam = np.full(len(A), np.nan)
     for lo in range(0, len(A), EVM_SLAB):
         _power_iterate(A[lo:lo + EVM_SLAB], v[lo:lo + EVM_SLAB], lam[lo:lo + EVM_SLAB])
     iterated = np.isnan(lam)  # a vector of LAPACK's may have a zero component

@@ -5,15 +5,17 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ExpertPanel, PCMatrix
-from .derive import evm_stack
+from .derive import _evm_stack, _row_gmm
 from .errors import DomainError
 
 _TRIAD_BLOCK = 1 << 16
 
 
-def _stack_cis(A: np.ndarray) -> np.ndarray:
-    """The CIs of a (k, n, n) stack, from one power iteration; see ``saaty_ci``."""
-    return np.maximum((evm_stack(A)[1] - A.shape[-1]) / (A.shape[-1] - 1), 0.0)
+def _stack_cis(A: np.ndarray, G: np.ndarray | None = None) -> np.ndarray:
+    """The CIs of a (k, n, n) stack, from one power iteration started at its (k, n) GMM vectors
+    ``G``, derived here when None; see ``saaty_ci``."""
+    lam = _evm_stack(A, _row_gmm(A) if G is None else G.copy())[1]
+    return np.maximum((lam - A.shape[-1]) / (A.shape[-1] - 1), 0.0)
 
 
 def saaty_ci(C: PCMatrix) -> float:

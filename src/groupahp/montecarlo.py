@@ -16,8 +16,8 @@ import numpy as np
 
 from .aggregate import _wgm_stack
 from .attack import SATURATION, _attack_stack
-from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_stack, _checked_panel, _from_upper,
-                   _ranking, consistent_matrix_from_priorities)
+from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack, _checked_panel,
+                   _from_upper, _ranking, _unchecked)
 from .derive import _checked_gmm
 from .errors import DomainError, EmptyReportError
 from .inconsistency import _stack_cis
@@ -32,8 +32,8 @@ MAX_ALPHA = 1e90  # base ratios stay below 1e9 (weights > 1e-9), so judgments be
 
 @dataclass(frozen=True)
 class Scenario:
-    """One panel of the corpus, with its experts' CIs ``cis``, a read-only (k,) array, and
-    their mean ``mean_ci``."""
+    """One panel of the corpus, with its experts' CIs ``cis``, a read-only (k,) array, their
+    mean ``mean_ci``, and their checked GMM vectors ``gmm``, a read-only (k, n) array."""
 
     scenario_id: int
     base_vector: PriorityVector
@@ -41,16 +41,24 @@ class Scenario:
     panel: ExpertPanel
     mean_ci: float
     cis: np.ndarray
+    gmm: np.ndarray
 
 
-def random_priority_vector(n: int, rng: np.random.Generator) -> PriorityVector:
-    """Uniform draw from the open simplex (flat Dirichlet)."""
+def _dirichlet(n: int, rng: np.random.Generator, gap: float = 0.0) -> np.ndarray:
+    """A flat Dirichlet draw over n >= 2 alternatives, drawn again until every weight
+    exceeds 1e-9 and the top two are at least ``gap`` apart."""
     if n < 2:
         raise DomainError("need at least 2 alternatives")
     while True:
         w = rng.dirichlet(np.ones(n))
-        if np.all(w > 1e-9):
-            return PriorityVector(w)
+        top = np.sort(w)[-2:]
+        if (w > 1e-9).all() and top[1] - top[0] >= gap:
+            return w
+
+
+def random_priority_vector(n: int, rng: np.random.Generator) -> PriorityVector:
+    """Uniform draw from the open simplex (flat Dirichlet)."""
+    return PriorityVector(_dirichlet(n, rng))
 
 
 def _perturbed_stack(C: np.ndarray, alphas, rng: np.random.Generator, distribution: str,
@@ -95,16 +103,13 @@ def perturb(
     distribution: str,
     k: int,
 ) -> ExpertPanel:
-    """Draw a panel of k perturbed copies of C_w.
+    """Draw a panel of k perturbed copies of C_w: ``_perturbed_stack`` on one matrix at one level.
 
     Each upper-triangle entry is multiplied by a random factor in
     [1/alpha, alpha].  A "log-uniform" factor is symmetric around 1 on the
     ratio scale the geometric mean operates in; a "uniform" one is not.
     Reciprocity is kept exactly (the lower triangle gets the reciprocal
-    factors).  All k matrices come from one draw, which yields the same
-    random stream as k draws of one matrix each.  This is the kernel that
-    ``generate_corpus`` runs once per matrix size on all of that size's base
-    matrices and alpha levels, here on one matrix at one level.
+    factors).  The k matrices draw the random stream that k draws of one would.
     """
     return _checked_panel(_perturbed_stack(C_w.values[None], [alpha], rng, distribution, k))
 
@@ -121,31 +126,28 @@ def generate_corpus(
     Base vectors whose top two priorities are closer than 1e-6 are redrawn
     so every scenario has an unambiguous honest winner and runner-up.  All
     bases are drawn first, in increasing n; then each matrix size's panels
-    come from one perturbation draw and one stack check, and their CIs from
-    one power iteration.  Each panel is a read-only view of its size's stack,
-    and each scenario's ``cis`` a read-only view of its size's CIs.
+    come from one perturbation draw and one stack check, their GMM vectors from
+    one log-mean, and their CIs from one power iteration started at those.  A
+    scenario's base vector, panel, ``cis`` and ``gmm`` are read-only views.
     """
     rng = np.random.default_rng(seed)
-    bases: dict[int, list[PriorityVector]] = {}
-    for n in sorted(counts):
-        for _ in range(counts[n]):
-            while True:
-                w = random_priority_vector(n, rng)
-                top = np.sort(w.weights)[::-1]
-                if top[0] - top[1] >= 1e-6:
-                    break
-            bases.setdefault(n, []).append(w)
+    bases = [_check_rows(np.array([_dirichlet(n, rng, 1e-6) for _ in range(counts[n])]))
+             for n in sorted(counts) if counts[n]]
     alphas = [float(a) for a in alphas]
     corpus: list[Scenario] = []
-    for ws in bases.values():
-        C = np.stack([consistent_matrix_from_priorities(w).values for w in ws])
+    for W in bases:
+        W.setflags(write=False)
+        C = W[:, :, None] * (1.0 / W[:, None, :])  # the consistent matrices; the diagonal is unread
         S = _perturbed_stack(C, alphas, rng, epsilon_distribution, panel_size)
-        cis = _stack_cis(S).reshape(-1, panel_size)
+        G = _checked_gmm(S)
+        cis = _stack_cis(S, G).reshape(-1, panel_size)
         cis.setflags(write=False)
         means = cis.mean(axis=1).tolist()  # each bit for bit np.mean of its row alone
-        for p, (w, alpha) in enumerate(product(ws, alphas)):
-            panel = _checked_panel(S[p * panel_size:(p + 1) * panel_size])
-            corpus.append(Scenario(len(corpus), w, alpha, panel, means[p], cis[p]))
+        S, G = (X.reshape(len(cis), panel_size, *X.shape[1:]) for X in (S, G))
+        vectors = [_unchecked(PriorityVector, weights=w) for w in W]
+        for p, (w, alpha) in enumerate(product(vectors, alphas)):
+            panel = _checked_panel(S[p])
+            corpus.append(Scenario(len(corpus), w, alpha, panel, means[p], cis[p], G[p]))
     return corpus
 
 
@@ -162,9 +164,9 @@ def _column(metric: str, method: str) -> str:
 def _rows_by_shape(scenarios: list[Scenario], cells) -> list[dict]:
     """One flat row per scenario, in input order, keyed by records.csv column.
 
-    The scenarios are scored in one batch per panel shape: ``cells(A, CI)`` takes the
-    batch's (S, k, n, n) matrices and (S, k) CIs, and returns each further column's
-    S values.
+    The scenarios are scored in one batch per panel shape: ``cells(batch, G, CI)`` takes the
+    batch's scenarios and new arrays of their (S, k, n) GMM vectors and (S, k) CIs, and
+    returns each further column's S values.
     """
     groups: dict[tuple, list[int]] = {}
     for i, s in enumerate(scenarios):
@@ -172,7 +174,7 @@ def _rows_by_shape(scenarios: list[Scenario], cells) -> list[dict]:
     rows: list[dict] = [{}] * len(scenarios)
     for idx in groups.values():
         batch = [scenarios[i] for i in idx]
-        columns = cells(np.stack([s.panel.stack for s in batch]), np.stack([s.cis for s in batch]))
+        columns = cells(batch, np.stack([s.gmm for s in batch]), np.stack([s.cis for s in batch]))
         for j, (i, s) in enumerate(zip(idx, batch)):
             rows[i] = {"scenario_id": s.scenario_id, "mean_ci": s.mean_ci,
                        **{c: v[j] for c, v in columns.items()}}
@@ -187,14 +189,16 @@ def experiment1(
 ) -> list[dict]:
     """Attack every scenario, then score how well each scheme recovers.
 
-    Per panel shape: one stacked attack, one CI power iteration of the bribed matrices,
-    and one robust scoring of all methods.  One flat row per scenario, in input order,
-    keyed by records.csv column.
+    Per panel shape: one stacked attack on a copy of the matrices, which derives the GMM
+    vectors of bribed matrices only, one CI power iteration of those, and one robust scoring
+    of all methods.  One flat row per scenario, in input order, keyed by records.csv column.
     """
-    def cells(A, CI):
-        queue, used, ok, _, honest, G, L = _attack_stack(A, max_bribes, saturation)
+    def cells(batch, G, CI):
+        A = np.stack([s.panel.stack for s in batch])
+        queue, used, ok, _, honest, L = _attack_stack(A, G, max_bribes, saturation)
         p, b = np.nonzero(np.arange(queue.shape[1]) < used[:, None])
-        CI[p, queue[p, b]] = _stack_cis(A[p, queue[p, b]])
+        bribed = p, queue[p, b]
+        CI[bribed] = _stack_cis(A[bribed], G[bribed])
         restored = dict(zip(METHODS, _robust_aggregate_stack(G, L, CI, config)))
         return {"bribes_used": used.tolist(), "attack_succeeded": ok.astype(int).tolist(),
                 **{_column("class", m): _classify(honest, r) for m, r in restored.items()},
@@ -209,12 +213,11 @@ def experiment2(
 ) -> list[dict]:
     """Compare honest aggregation against the robust schemes, no attack.
 
-    Per panel shape: one log-mean for the GMM vectors, and one robust scoring of all methods
-    against the equal-weight aggregate.  One flat row per scenario, in input order, keyed by
-    records.csv column.
+    Per panel shape: one robust scoring of all methods against the equal-weight aggregate,
+    from the scenarios' GMM vectors and CIs.  One flat row per scenario, in input order, keyed
+    by records.csv column.
     """
-    def cells(A, CI):
-        G = _checked_gmm(A)
+    def cells(batch, G, CI):
         L = np.log(G)
         honest = _wgm_stack(None, L)
         restored = dict(zip(METHODS, _robust_aggregate_stack(G, L, CI, config)))

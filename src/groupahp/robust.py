@@ -13,15 +13,16 @@ from typing import Literal
 
 import numpy as np
 
-from .aggregate import _wgm_stack, aggregate_panel
-from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, _check_rows
+from .aggregate import _wgm_stack
+from .core import ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, _check_rows, _unchecked
 from .derive import _checked_gmm, gmm_priorities
 from .errors import CredibilityOrderError, DomainError
-from .inconsistency import panel_cis
+from .inconsistency import _stack_cis, panel_cis
 from .metrics import CARDINAL_METRICS
 
 MetricName = Literal["manhattan", "euclidean", "chebyshev"]
 MethodName = Literal["APDD", "AID", "MX"]
+METHODS = ("APDD", "AID", "MX")
 
 
 @dataclass(frozen=True)
@@ -141,18 +142,16 @@ def _aid_stack(D: np.ndarray, config: RobustConfig) -> np.ndarray:
     return _credibility(D, np.concatenate([lo, mid, hi], axis=1), [s.h, s.m, s.l])
 
 
-def _mx_stack(R1: np.ndarray, R2: np.ndarray, config: RobustConfig) -> np.ndarray:
-    return config.beta * R1 + (1.0 - config.beta) * R2
-
-
 def _robust_weights_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
-    """The (S, k) expert weights of S panels by each method, in METHODS order, from the
-    (S, k, n) GMM vectors G, their logs L and (S, k) CIs.  APDD measures from each panel's
-    equal-weight aggregate.  Each weight matrix gets ExpertWeights' checks."""
+    """The (S, k) expert weights of S panels by each method, in METHODS order (APDD's alone
+    when CI is None), from the (S, k, n) GMM vectors G, their logs L and (S, k) CIs.  APDD
+    measures from each panel's equal-weight aggregate.  Each gets ExpertWeights' checks."""
     apdd = _apdd_stack(_metric(config.metric)(_wgm_stack(None, L)[:, None], G), config)
+    if CI is None:
+        return (_check_rows(apdd, "expert weights", 1),)
     aid = _aid_stack(_centred(CI), config)
-    return tuple(_check_rows(W, "expert weights", 1)
-                 for W in (apdd, aid, _mx_stack(apdd, aid, config)))
+    mx = config.beta * apdd + (1.0 - config.beta) * aid
+    return tuple(_check_rows(W, "expert weights", 1) for W in (apdd, aid, mx))
 
 
 def _robust_aggregate_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
@@ -160,9 +159,20 @@ def _robust_aggregate_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray,
     return tuple(_wgm_stack(W, L) for W in _robust_weights_stack(G, L, CI, config))
 
 
+def _panel_weights(panel: ExpertPanel, method: str, config: RobustConfig):
+    """The (1, k, n) GMM logs of a panel and its (1, k) weights by ``method``: one log-mean and
+    the batch kernels on a batch of one.  Only AID and MX run the power iteration, from G."""
+    if method not in METHODS:
+        raise DomainError(f"unknown method {method!r}")
+    G = _checked_gmm(panel.stack[None])
+    L = np.log(G)
+    CI = None if method == "APDD" else _stack_cis(panel.stack, G[0])[None]
+    return L, _robust_weights_stack(G, L, CI, config)[METHODS.index(method)]
+
+
 def apdd_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
     """Preferential-distance weights: a decreasing line from (d_min, h) to (d_max, l)."""
-    return ExpertWeights(_apdd_stack(preferential_distances(panel, config.metric)[None], config)[0])
+    return method_weights(panel, "APDD", config)
 
 
 def aid_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
@@ -177,13 +187,12 @@ def aid_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> Ex
     experts get l.  The rule reads deviations, not positions, so the weights
     do not depend on the order in which experts are listed.
     """
-    return ExpertWeights(_aid_stack(inconsistency_distances(panel)[None], config)[0])
+    return method_weights(panel, "AID", config)
 
 
 def mx_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
     """Convex blend beta * APDD + (1 - beta) * AID of the two weight vectors."""
-    r1, r2 = apdd_weights(panel, config).r, aid_weights(panel, config).r
-    return ExpertWeights(_mx_stack(r1, r2, config))
+    return method_weights(panel, "MX", config)
 
 
 def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:
@@ -205,20 +214,16 @@ def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:
     return CredibilityScale3(float(h), float(m), float(l))
 
 
-_METHODS = {"APDD": apdd_weights, "AID": aid_weights, "MX": mx_weights}
-METHODS = tuple(_METHODS)
-
 
 def method_weights(
     panel: ExpertPanel, method: MethodName, config: RobustConfig = RobustConfig()
 ) -> ExpertWeights:
-    if method not in _METHODS:
-        raise DomainError(f"unknown method {method!r}")
-    return _METHODS[method](panel, config)
+    return ExpertWeights(_panel_weights(panel, method, config)[1][0])
 
 
 def robust_aggregate(
     panel: ExpertPanel, method: MethodName, config: RobustConfig = RobustConfig()
 ) -> PriorityVector:
     """Group ranking using the chosen weighting scheme and weighted AIP."""
-    return aggregate_panel(panel, method_weights(panel, method, config))
+    L, W = _panel_weights(panel, method, config)
+    return _unchecked(PriorityVector, weights=_wgm_stack(W, L)[0])

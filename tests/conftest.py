@@ -1,7 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 
-from groupahp import ExpertPanel, bribe_matrix, bundled_panel, pcm_from_upper_triangle, perturb
+from groupahp import (ExpertPanel, bribe_matrix, bundled_panel, derive, pcm_from_upper_triangle,
+                      perturb)
 
 # One line per acceptance criterion, printed after the run so the verdicts
 # survive output capturing.
@@ -40,6 +43,21 @@ def five_alt_panel():
 def random_pcm(n, rng, spread=9.0):
     upper = np.exp(rng.uniform(-np.log(spread), np.log(spread), n * (n - 1) // 2))
     return pcm_from_upper_triangle(n, upper)
+
+
+def record_log_means(monkeypatch) -> list[np.ndarray]:
+    """Patch ``derive._row_gmm`` in every package module that calls it; the returned list gets a
+    copy of each call's (..., n, n) stack, reshaped to (-1, n, n)."""
+    calls, real = [], derive._row_gmm
+
+    def recorded(A):
+        calls.append(np.array(A).reshape(-1, *A.shape[-2:]))
+        return real(A)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("groupahp.") and getattr(module, "_row_gmm", None) is real:
+            monkeypatch.setattr(module, "_row_gmm", recorded)
+    return calls
 
 
 def derived_matrices(m, rng):

@@ -210,3 +210,40 @@ def experiment2_row(scenario_id: int, stack: np.ndarray, cis, config) -> tuple[d
         row[f"kendall_{method.lower()}"], gap = kendall(honest, r)
         margin = min(margin, gap)
     return row, margin
+
+
+def classify(honest: np.ndarray, restored: np.ndarray) -> tuple[str, float]:
+    """"RR" when the two rankings agree, "WR" when their winner and runner-up do, else
+    "FAILURE"; each ranking orders the alternatives by descending value, ties to the lower index.
+    Also returns the smallest gap between two entries of either vector."""
+    rankings = [sorted(range(len(w)), key=lambda i: (-w[i], i)) for w in (honest, restored)]
+    if rankings[0] == rankings[1]:
+        label = "RR"
+    else:
+        label = "WR" if rankings[0][:2] == rankings[1][:2] else "FAILURE"
+    return label, kendall(honest, restored)[1]
+
+
+def experiment1_row(scenario_id: int, stack: np.ndarray, cis, config, max_bribes,
+                    saturation: float, ci) -> tuple[dict, float]:
+    """Experiment 1's row for one panel, a (k, n, n) array with CIs ``cis``: attack it, give each
+    bribed expert the CI ``ci(matrix)`` of its bribed matrix, and compare the honest aggregate with
+    the AIP of the bribed panel under each method's weights, by class and by mean absolute gap.
+    Also returns the smallest margin that decided the attack, the weights or a class."""
+    result = attack(stack, max_bribes, saturation)
+    G = np.array([gmm(A) for A in result["stack"]])
+    cis_after = list(cis)
+    for q in result["bribed"]:
+        cis_after[q] = ci(result["stack"][q])
+    weights, margin = robust_weights(G, cis_after, config)
+    margin = min(margin, result["margin"])
+    honest = result["honest"]
+    restored = {method: aip(G, w) for method, w in weights.items()}
+    row = {"scenario_id": scenario_id, "mean_ci": sum(cis) / len(cis),
+           "bribes_used": len(result["bribed"]), "attack_succeeded": int(result["succeeded"])}
+    for method, r in restored.items():
+        row[f"class_{method.lower()}"], gap = classify(honest, r)
+        margin = min(margin, gap)
+    for method, r in restored.items():
+        row[f"manhattan_{method.lower()}"] = distance(honest, r, "manhattan") / len(r)
+    return row, margin

@@ -218,7 +218,7 @@ class TestOutputBytes:
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, build)
         for cls in (core.PCMatrix, core.PriorityVector, core.ExpertPanel, core.ExpertWeights):
-            monkeypatch.setattr(cls, "__post_init__", build)
+            monkeypatch.setattr(cls, "__init__", build)
         with redirect_stdout(StringIO()):
             for path in identity_panels:
                 assert main([*command, "--input", path]) == 0

@@ -319,6 +319,21 @@ class TestPickle:
         assert copy.weights.tobytes() == v.weights.tobytes()
         assert not copy.weights.flags.writeable
 
+    def test_panel_whose_matrices_were_never_read(self):
+        panel = ExpertPanel.from_stack(np.stack([random_pcm(4, np.random.default_rng(q)).values
+                                                 for q in range(3)]))
+        assert "matrices" not in vars(panel)
+        copy = pickle.loads(pickle.dumps(panel))
+        assert "matrices" not in vars(copy)
+        assert copy.stack.tobytes() == panel.stack.tobytes() and not copy.stack.flags.writeable
+        # built after unpickling: read-only views of the stack's slices
+        for m, values in zip(copy.matrices, copy.stack, strict=True):
+            assert m.values.base is copy.stack and not m.values.flags.writeable
+            assert m.values.tobytes() == values.tobytes()
+        again = pickle.loads(pickle.dumps(copy))
+        assert "matrices" not in vars(again)
+        assert again.stack.tobytes() == panel.stack.tobytes() and not again.stack.flags.writeable
+
     @pytest.mark.parametrize("made", ["from_stack", "matrices"])
     def test_panel_round_trip_keeps_its_stack(self, made):
         rng = np.random.default_rng(13)

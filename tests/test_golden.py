@@ -1,7 +1,9 @@
-"""Byte-identity guard: SHA-256 of the experiment outputs on a small seeded corpus.
+"""Byte-identity guard: SHA-256 of the experiment outputs on a small seeded corpus and
+on the full study.
 
 The digests pin records.csv, summary.csv and stdout of ``experiment --which 1``
-and ``--which 2`` at seed 7.  A refactor that is meant to keep every printed
+and ``--which 2`` at seed 7 on a 24-scenario corpus, and on the default config
+(4,000 scenarios of 20 experts, seed 20230).  A refactor that is meant to keep every printed
 digit must keep them; a change that moves a number on purpose re-records them
 and says why.  Recorded with numpy 2.4.6, the version CI pins: another numpy
 may round a log or an exp differently in the last bit.
@@ -38,6 +40,21 @@ GOLDEN = {
 }
 
 
+# the default config at its seed 20230: the study the README's numbers come from
+FULL_SCALE = {
+    "1": {
+        "records.csv": "a98c6e09ee66ee113525e906607d7caf2a1dc8bd320222ee449392935284dbea",
+        "summary.csv": "c0b83e1914ed23845ee216e4d65ae9d3a46a1c25b6e2ef5d0e6e2aaf557527d2",
+        "stdout": "4cdbb903d8d17c6a4a542f011ce854012fccc172befd54919babb19dbc12bb9b",
+    },
+    "2": {
+        "records.csv": "4c179c1b34277766e50a59fdef1c696615c716e87c4e9b6ccafeacfb3c5891a1",
+        "summary.csv": "d01431329dfe030cfc244fb8e834aa45f6441116a7f097fc5c75136627211a6f",
+        "stdout": "6bc95c23cb57373da98800084187957dbedce50932ed8a341fe92c14aba8e38a",
+    },
+}
+
+
 def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -61,3 +78,16 @@ def experiment_digests(which: str, tmp_path, capsys) -> dict[str, str]:
 @pytest.mark.parametrize("which", ["1", "2"])
 def test_outputs_are_byte_identical(which, tmp_path, capsys):
     assert experiment_digests(which, tmp_path, capsys) == GOLDEN[which]
+
+
+@pytest.mark.parametrize("which", ["1", "2"])
+def test_full_scale_outputs_are_byte_identical(which, tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert main(["experiment", "--which", which, "--out", str(out_dir)]) == 0
+    # the first line names the output directory; the headline statistics follow it
+    stdout = capsys.readouterr().out.split("\n", 1)[1]
+    assert {
+        "records.csv": sha256((out_dir / "records.csv").read_bytes()),
+        "summary.csv": sha256((out_dir / "summary.csv").read_bytes()),
+        "stdout": sha256(stdout.encode()),
+    } == FULL_SCALE[which]

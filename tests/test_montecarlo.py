@@ -1,3 +1,6 @@
+import collections
+import json
+import sys
 from unittest import mock
 
 import numpy as np
@@ -5,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupahp import inconsistency, montecarlo
+from groupahp import core, inconsistency, montecarlo
 from groupahp import (
     DomainError,
     PriorityVector,
@@ -18,6 +21,7 @@ from groupahp import (
     load_panel,
     manhattan_mean,
     panel_cis,
+    panel_gmm,
     panel_mean_ci,
     perturb,
     random_priority_vector,
@@ -25,6 +29,7 @@ from groupahp import (
     run_attack,
     save_panel,
 )
+from groupahp.cli import main
 from groupahp.errors import EmptyReportError
 from groupahp.montecarlo import (
     MAX_ALPHA,
@@ -35,6 +40,7 @@ from groupahp.montecarlo import (
     headline_stats,
     summarize,
 )
+from tests.conftest import record_log_means
 
 SMALL_COUNTS = {4: 2, 5: 2}
 SMALL_ALPHAS = (1.2, 2.0)
@@ -213,7 +219,8 @@ class TestExperiments:
     def test_serial_experiment1_is_one_batch_per_matrix_size(self):
         corpus = two_chunk_corpus()
         with mock.patch.object(montecarlo, "_attack_stack", wraps=montecarlo._attack_stack) as attack, \
-                mock.patch.object(inconsistency, "evm_stack", wraps=inconsistency.evm_stack) as power:
+                mock.patch.object(inconsistency, "_evm_stack",
+                                  wraps=inconsistency._evm_stack) as power:
             experiment1(corpus)
         # one stacked attack over each size's 20 panels, and one power iteration over
         # each size's bribed matrices (the corpus's own CIs come with its scenarios)
@@ -225,7 +232,8 @@ class TestExperiments:
         matrices = {m.tobytes() for s in corpus for m in s.panel.stack}
         with mock.patch.object(montecarlo, "_robust_aggregate_stack",
                                wraps=montecarlo._robust_aggregate_stack) as scoring, \
-                mock.patch.object(inconsistency, "evm_stack", wraps=inconsistency.evm_stack) as power:
+                mock.patch.object(inconsistency, "_evm_stack",
+                                  wraps=inconsistency._evm_stack) as power:
             experiment2(corpus)
             # one robust scoring of each size's 20 panels
             assert [c.args[0].shape for c in scoring.call_args_list] == [(20, 4, 4), (20, 4, 5)]
@@ -280,6 +288,54 @@ class TestExperiments:
             summarize([])
         with pytest.raises(EmptyReportError):
             headline_stats([])
+
+
+class TestStudyBuildsNoPerMatrixObjects:
+    """Generation, both experiments and ``gen`` work on arrays: no PCMatrix, one ExpertPanel per
+    scenario, and no GMM vector of a corpus matrix derived after generation."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        made, real = collections.Counter(), core._unchecked
+
+        def unchecked(cls, **fields):
+            made[cls.__name__] += 1
+            return real(cls, **fields)
+
+        def built(self, *args, **kwargs):
+            raise AssertionError(f"a {type(self).__name__} was built")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("groupahp.") and hasattr(module, "_unchecked"):
+                monkeypatch.setattr(module, "_unchecked", unchecked)
+        for cls in (core.PCMatrix, core.ExpertPanel):
+            monkeypatch.setattr(cls, "__init__", built)
+        return made
+
+    def test_generation_and_experiments(self, made, monkeypatch):
+        corpus = two_chunk_corpus()
+        assert made["PCMatrix"] == 0
+        assert made["ExpertPanel"] == len(corpus)
+        matrices = {m.tobytes() for s in corpus for m in s.panel.stack}
+        log_means = record_log_means(monkeypatch)
+        experiment2(corpus)
+        assert not log_means
+        rows = experiment1(corpus)
+        # experiment 1 derives the GMM vectors of its bribed matrices only, each once
+        assert sum(len(A) for A in log_means) == sum(r["bribes_used"] for r in rows) > 0
+        assert not any(m.tobytes() in matrices for A in log_means for m in A)
+        assert made["PCMatrix"] == 0
+        assert made["ExpertPanel"] == len(corpus)
+
+    def test_gen_command(self, made, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"counts": {"4": 2, "5": 1}, "alpha_start": 1.5,
+                                      "alpha_stop": 2.5, "alpha_step": 0.5, "panel_size": 3}))
+        assert main(["gen", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.startswith("wrote 9 scenarios")
+        assert len(list((tmp_path / "out").glob("scenario_*.json"))) == 9
+        assert made["PCMatrix"] == 0
+        assert made["ExpertPanel"] == 9
 
 
 def exp1_record(ci, succeeded, classes, distances):
@@ -384,9 +440,10 @@ def drawn_scenario(sid, n, k, alpha, seed) -> Scenario:
     rng = np.random.default_rng(seed)
     w = PriorityVector.from_raw(rng.dirichlet(np.ones(n)) + 1e-3)
     panel = perturb(consistent_matrix_from_priorities(w), alpha, rng, "log-uniform", k)
-    cis = np.array(panel_cis(panel))
+    cis, gmm = np.array(panel_cis(panel)), np.array([v.weights for v in panel_gmm(panel)])
     cis.setflags(write=False)
-    return Scenario(sid, w, alpha, panel, float(np.mean(cis)), cis)
+    gmm.setflags(write=False)
+    return Scenario(sid, w, alpha, panel, float(np.mean(cis)), cis, gmm)
 
 
 scenario_draws = st.lists(

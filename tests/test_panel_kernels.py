@@ -72,7 +72,7 @@ def fresh(m: PCMatrix) -> PCMatrix:
 @given(panels)
 @settings(max_examples=60, deadline=None)
 def test_panel_kernels_match_single_matrix_derivation(panel):
-    with mock.patch.object(inconsistency, "evm_stack", wraps=evm_stack) as power:
+    with mock.patch.object(inconsistency, "_evm_stack", wraps=inconsistency._evm_stack) as power:
         cis = panel_cis(panel)
     with mock.patch.object(derive, "_row_gmm", wraps=derive._row_gmm) as log_mean:
         vectors = panel_gmm(panel)
@@ -117,7 +117,7 @@ def test_generate_corpus_matches_per_panel_draws(seed, counts, alphas, k, distri
     real_rng, made = np.random.default_rng, []
     with mock.patch.object(np.random, "default_rng",
                            side_effect=lambda s: made.append(real_rng(s)) or made[-1]), \
-            mock.patch.object(inconsistency, "evm_stack", wraps=evm_stack) as power:
+            mock.patch.object(inconsistency, "_evm_stack", wraps=inconsistency._evm_stack) as power:
         corpus = generate_corpus(seed, counts, alphas, k, distribution)
     panels, cis, rng = reference_corpus(seed, counts, alphas, k, distribution)
     # one power iteration per matrix size, over all of that size's matrices
@@ -131,8 +131,11 @@ def test_generate_corpus_matches_per_panel_draws(seed, counts, alphas, k, distri
         assert s.panel.stack.tobytes() == panel.stack.tobytes()
         assert not s.panel.stack.flags.writeable
         assert s.cis.tolist() == ref_cis
-        assert not s.cis.flags.writeable
         assert s.mean_ci == float(np.mean(ref_cis))
+        # the vectors the power iteration started from, kept for the experiments
+        gmm = [gmm_priorities(fresh(m)).weights for m in panel.matrices]
+        assert s.gmm.tobytes() == np.array(gmm).tobytes()
+        assert not any(a.flags.writeable for a in (s.cis, s.gmm, s.base_vector.weights))
 
 
 @given(

@@ -17,7 +17,7 @@ from groupahp import (ExpertPanel, ExpertWeights, PCMatrix, PriorityVector, Robu
                       aggregate_panel, aid_weights, aip, apdd_weights, gmm_priorities, mx_weights,
                       panel_cis, panel_gmm, run_attack, saaty_ci)
 from groupahp.cli import main
-from groupahp.montecarlo import experiment2
+from groupahp.montecarlo import experiment1, experiment2
 from tests import reference
 
 CASES = 300
@@ -64,6 +64,26 @@ def cases():
 @pytest.fixture(scope="module")
 def attacks(cases):
     return [reference.attack(c["stack"], c["max_bribes"], c["saturation"]) for c in cases]
+
+
+def package_scenario(seed: int, case: dict) -> Scenario:
+    """The case's panel as a corpus scenario, with the package's CIs and GMM vectors."""
+    panel = ExpertPanel.from_stack(case["stack"])
+    cis, gmm = np.array(panel_cis(panel)), np.array([v.weights for v in panel_gmm(panel)])
+    cis.setflags(write=False)
+    gmm.setflags(write=False)
+    return Scenario(seed, PriorityVector(case["base"]), 1.0, panel, float(np.mean(cis)), cis, gmm)
+
+
+def assert_row(got: dict, want: dict, discrete: tuple[str, ...]):
+    """Equal keys in the same order; ``discrete`` columns exactly, the others to rtol 1e-12."""
+    assert list(got) == list(want)
+    for column in got:
+        if column == "scenario_id" or column.startswith(discrete):
+            assert got[column] == want[column], (got["scenario_id"], column)
+        else:
+            # a gap between entries up to 1 keeps their absolute rounding, about 1e-16
+            np.testing.assert_allclose(got[column], want[column], rtol=1e-12, atol=1e-15)
 
 
 def close(got, want):
@@ -151,22 +171,29 @@ def test_experiment2_rows(cases):
         for seed, c in enumerate(cases):
             if c["config"] is not config:
                 continue
-            panel = ExpertPanel.from_stack(c["stack"])
-            cis = np.array(panel_cis(panel))
-            cis.setflags(write=False)
-            scenarios.append(Scenario(seed, PriorityVector(c["base"]), 1.0, panel,
-                                      float(np.mean(cis)), cis))
-            wanted.append(reference.experiment2_row(seed, c["stack"], cis.tolist(), config))
+            scenarios.append(package_scenario(seed, c))
+            wanted.append(reference.experiment2_row(seed, c["stack"], scenarios[-1].cis.tolist(),
+                                                    config))
         for got, (want, margin) in zip(experiment2(scenarios, config), wanted, strict=True):
             if margin <= MARGIN:
                 skipped += 1
                 continue
-            assert got.keys() == want.keys()
-            assert got["scenario_id"] == want["scenario_id"]
-            for column in got:
-                if column.startswith(("mean_ci", "manhattan")):
-                    # a gap between entries up to 1 keeps their absolute rounding, about 1e-16
-                    np.testing.assert_allclose(got[column], want[column], rtol=1e-12, atol=1e-15)
-                elif column.startswith("kendall"):
-                    assert got[column] == want[column], (got["scenario_id"], column)
+            assert_row(got, want, ("kendall",))
+    assert skipped <= MAX_SKIPPED
+
+
+def test_experiment1_rows(cases):
+    """Each panel attacked with its own budget and saturation; a bribed expert's CI is the
+    package's, as in ``test_robust_weights``."""
+    skipped = 0
+    for seed, c in enumerate(cases):
+        scenario = package_scenario(seed, c)
+        (got,) = experiment1([scenario], c["config"], c["max_bribes"], c["saturation"])
+        want, margin = reference.experiment1_row(
+            seed, c["stack"], scenario.cis.tolist(), c["config"], c["max_bribes"],
+            c["saturation"], lambda A: saaty_ci(PCMatrix(A)))
+        if margin <= MARGIN:
+            skipped += 1
+            continue
+        assert_row(got, want, ("bribes_used", "attack_succeeded", "class"))
     assert skipped <= MAX_SKIPPED

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,9 +25,10 @@ from groupahp import (
     preferential_distances,
     robust_aggregate,
 )
+from groupahp import inconsistency
 from groupahp.errors import CredibilityOrderError
 from groupahp.robust import DEFAULT_SCALE3, _aid_stack, _apdd_stack, inconsistency_distances
-from tests.conftest import normalized, random_pcm
+from tests.conftest import normalized, random_pcm, record_log_means
 
 
 def random_panel(rng, k=5, n=4):
@@ -192,7 +195,7 @@ class TestAID:
 
     def test_exact_deviation_tie_goes_to_the_lower_deviation(self, monkeypatch):
         cis = [0.0, 0.25, 0.75, 1.0]  # centred exactly: -1/2, -1/4, 1/4, 1/2
-        monkeypatch.setattr("groupahp.robust.panel_cis", lambda panel: cis)
+        monkeypatch.setattr("groupahp.robust._stack_cis", lambda A, G: np.array(cis))
         panel = random_panel(np.random.default_rng(127), k=4)
         h, m, l = DEFAULT_SCALE3.h, DEFAULT_SCALE3.m, DEFAULT_SCALE3.l
         f = np.array([h, m, m + (l - m) * 2 / 3, l])
@@ -337,3 +340,18 @@ class TestInterpReference:
         for d, a, p in zip(D, aid, apdd):
             assert np.array_equal(a, interp_aid(d, scale3))
             assert np.array_equal(p, interp_weights(d, [d.min(), d.max()], [5.0, 1.0]))
+
+
+class TestOnePanelDerivesOnce:
+    """The single-panel API derives a panel's GMM vectors once and its CIs at most once."""
+
+    @pytest.mark.parametrize("method, power_iterations", [("APDD", 0), ("AID", 1), ("MX", 1)])
+    def test_weights_and_aggregate(self, method, power_iterations, monkeypatch):
+        panel = random_panel(np.random.default_rng(149), k=20, n=7)
+        for call in (method_weights, robust_aggregate):
+            with monkeypatch.context() as patched, mock.patch.object(
+                    inconsistency, "_evm_stack", wraps=inconsistency._evm_stack) as power:
+                log_means = record_log_means(patched)
+                call(panel, method)
+            assert [A.shape for A in log_means] == [(20, 7, 7)], call
+            assert power.call_count == power_iterations, call
