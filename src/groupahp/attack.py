@@ -64,11 +64,13 @@ def _attack_stack(A, G, max_bribes: int | None, saturation: float):
     expert of every panel not yet flipped.  Returns the (S, budget) queues, bribes used,
     success flags, manipulated and honest aggregates, and the final GMM vectors' logs."""
     _check_saturation(saturation)
+    if max_bribes is not None and max_bribes < 0:
+        raise DomainError(f"max_bribes must be >= 0 or None, got {max_bribes!r}")
     S, k = A.shape[:2]
     L = np.log(G)
     honest = _wgm_stack(None, L)
     winner, runner_up = _ranking(honest)[:, :2].T
-    budget = k if max_bribes is None else max(max_bribes, 0)
+    budget = k if max_bribes is None else max_bribes
     queue = _ranking(G[np.arange(S), :, winner])[:, :budget]  # descending support
     ranking, used, succeeded = honest.copy(), np.zeros(S, int), np.zeros(S, bool)
     for b in range(queue.shape[1]):

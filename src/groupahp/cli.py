@@ -21,7 +21,7 @@ from .attack import run_attack
 from .core import _ranking
 from .derive import _checked_gmm
 from .errors import DomainError, GroupAHPError, PanelParseError
-from .inconsistency import _stack_cis, _stack_k
+from .inconsistency import _stack_cis, _stack_k, panel_cis
 from .montecarlo import (
     Scenario,
     experiment1,
@@ -30,8 +30,7 @@ from .montecarlo import (
     headline_stats,
     summarize,
 )
-from .panelio import (RunConfig, _load_stack, check_value, load_config, load_panel, panel_document,
-                      save_panel)
+from .panelio import RunConfig, check_value, load_config, load_panel, panel_document, save_panel
 from .robust import METHODS, _robust_weights_stack
 
 EXIT_PARSE = 2
@@ -58,13 +57,13 @@ def _load_config(args) -> RunConfig:
 
 
 def cmd_aggregate(args) -> int:
-    A, ids = _load_stack(args.input)
+    panel, ids = load_panel(args.input)
     config = _load_config(args)
-    print(f"panel: {len(A)} experts, {A.shape[1]} alternatives")
-    G = _checked_gmm(A)
+    print(f"panel: {panel.k} experts, {panel.n} alternatives")
+    G = _checked_gmm(panel.stack)
     for eid, v in zip(ids, G):
         _print_vector(f"priorities {eid}", v)
-    CI = _stack_cis(A, G)
+    CI = _stack_cis(panel.stack, G)
     for eid, ci in zip(ids, CI.tolist()):
         print(f"CI {eid}: {_fmt(ci)}")
     L, W = np.log(G)[None], None
@@ -95,10 +94,10 @@ def cmd_attack(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    A, ids = _load_stack(args.input)
-    print(f"panel: {len(A)} experts, {A.shape[1]} alternatives")
-    ks = map(_fmt, _stack_k(A).tolist()) if A.shape[1] >= 3 else ["n/a"] * len(A)
-    for eid, ci, k in zip(ids, _stack_cis(A).tolist(), ks):
+    panel, ids = load_panel(args.input)
+    print(f"panel: {panel.k} experts, {panel.n} alternatives")
+    ks = map(_fmt, _stack_k(panel.stack).tolist()) if panel.n >= 3 else ["n/a"] * panel.k
+    for eid, ci, k in zip(ids, panel_cis(panel), ks):
         print(f"{eid}: CI={_fmt(ci)} K={k}")
     return 0
 

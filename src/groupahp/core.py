@@ -4,7 +4,8 @@ All types validate their invariants at construction time and are immutable
 afterwards, so instances can be shared freely between threads.  A panel is its
 (k, n, n) stack, validated as one array; its matrices are views of the stack's
 slices, not checked again.  An instance keeps nothing derived from it: each
-derivation reads its arrays anew.
+derivation reads its arrays anew.  Equality and hashing are by identity: compare
+``values``, ``weights``, ``r`` or ``stack`` with numpy to compare contents.
 """
 
 from __future__ import annotations
@@ -84,7 +85,7 @@ class _ReadOnlyArrays:
         self.__dict__.update(state)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PCMatrix(_ReadOnlyArrays):
     """Positive reciprocal n x n matrix of pairwise preference ratios.
 
@@ -106,7 +107,7 @@ class PCMatrix(_ReadOnlyArrays):
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PriorityVector(_ReadOnlyArrays):
     """Normalized positive weight vector over n alternatives."""
 
@@ -135,7 +136,7 @@ class PriorityVector(_ReadOnlyArrays):
         return _ranking(self.weights)
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ExpertPanel(_ReadOnlyArrays):
     """Comparison matrices over the same alternatives, held as one read-only (k, n, n) ``stack``:
     stacked once from ``ExpertPanel(matrices)``, or the checked stack it was made from."""
@@ -182,7 +183,7 @@ def _checked_panel(arr: np.ndarray) -> ExpertPanel:
     return _unchecked(ExpertPanel, stack=arr)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExpertWeights(_ReadOnlyArrays):
     """Positive expert weights r_1..r_k summing to 1.
 

@@ -19,7 +19,7 @@ from .attack import SATURATION, _attack_stack
 from .core import (ExpertPanel, PCMatrix, PriorityVector, _check_rows, _check_stack, _checked_panel,
                    _from_upper, _ranking, _unchecked)
 from .derive import _checked_gmm
-from .errors import DomainError, EmptyReportError
+from .errors import DomainError, EmptyReportError, ShapeError
 from .inconsistency import _stack_cis
 from .metrics import kendall_tau_distance, manhattan_mean
 from .robust import METHODS, RobustConfig, _robust_aggregate_stack
@@ -30,7 +30,7 @@ CI_THRESHOLD = 0.1  # the low-inconsistency region the headline statistics cover
 MAX_ALPHA = 1e90  # base ratios stay below 1e9 (weights > 1e-9), so judgments below 1e99
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One panel of the corpus, with its experts' CIs ``cis``, a read-only (k,) array, their
     mean ``mean_ci``, and their checked GMM vectors ``gmm``, a read-only (k, n) array."""
@@ -72,6 +72,8 @@ def _perturbed_stack(C: np.ndarray, alphas, rng: np.random.Generator, distributi
     The factors are scaled in place to the perturbed upper triangles, so the
     only (..., n, n) array made is the one ``core._from_upper`` returns.
     """
+    if k < 1:
+        raise ShapeError("a panel needs at least one expert")
     alphas = [float(a) for a in alphas]
     if not all(1.0 <= a <= MAX_ALPHA for a in alphas):  # NaN too
         raise DomainError(f"alpha must be >= 1 and at most {MAX_ALPHA:g}")

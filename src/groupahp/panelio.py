@@ -94,8 +94,8 @@ def _judgment_stack(grids: list, names: list[str]) -> np.ndarray:
     return resymmetrize(A)
 
 
-def _parse_stack(doc: dict) -> tuple[np.ndarray, list[str]]:
-    """The checked, read-only, re-symmetrized (k, n, n) stack of a panel document, and its ids."""
+def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
+    """The panel of a decoded panel document, its stack checked and re-symmetrized, and its ids."""
     n, experts = doc.get("n"), doc.get("experts")
     if type(n) is not int:
         raise PanelParseError(f"'n' must be an integer, got {n!r}")
@@ -119,16 +119,7 @@ def _parse_stack(doc: dict) -> tuple[np.ndarray, list[str]]:
         first = ids.index(ids[q]) + 1
         raise PanelParseError(f"expert #{q + 1}: id {ids[q]!r} repeats expert #{first}")
     A = np.array(cells, dtype=float).reshape(len(ids), n, n)
-    return _judgment_stack(A, [f"expert {eid!r}" for eid in ids]), ids
-
-
-def _load_stack(path: str | Path) -> tuple[np.ndarray, list[str]]:
-    return _parse_stack(_read_object(path))
-
-
-def parse_panel(doc: dict) -> tuple[ExpertPanel, list[str]]:
-    A, ids = _parse_stack(doc)
-    return _checked_panel(A), ids
+    return _checked_panel(_judgment_stack(A, [f"expert {eid!r}" for eid in ids])), ids
 
 
 def load_panel(path: str | Path) -> tuple[ExpertPanel, list[str]]:

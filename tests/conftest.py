@@ -1,10 +1,11 @@
+import collections
 import sys
 
 import numpy as np
 import pytest
 
-from groupahp import (ExpertPanel, bribe_matrix, bundled_panel, derive, pcm_from_upper_triangle,
-                      perturb)
+from groupahp import (ExpertPanel, bribe_matrix, bundled_panel, core, derive,
+                      pcm_from_upper_triangle, perturb)
 
 # One line per acceptance criterion, printed after the run so the verdicts
 # survive output capturing.
@@ -58,6 +59,27 @@ def record_log_means(monkeypatch) -> list[np.ndarray]:
         if name.startswith("groupahp.") and getattr(module, "_row_gmm", None) is real:
             monkeypatch.setattr(module, "_row_gmm", recorded)
     return calls
+
+
+def count_unchecked(monkeypatch, *forbidden) -> collections.Counter:
+    """Patch ``core._unchecked`` in every package module that imports it; the returned Counter
+    counts the objects it makes by class name.  Calling the constructor of a ``forbidden`` class
+    fails the test."""
+    made, real = collections.Counter(), core._unchecked
+
+    def unchecked(cls, **fields):
+        made[cls.__name__] += 1
+        return real(cls, **fields)
+
+    def built(self, *args, **kwargs):
+        raise AssertionError(f"a {type(self).__name__} was built")
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("groupahp.") and hasattr(module, "_unchecked"):
+            monkeypatch.setattr(module, "_unchecked", unchecked)
+    for cls in forbidden:
+        monkeypatch.setattr(cls, "__init__", built)
+    return made
 
 
 def derived_matrices(m, rng):

@@ -7,6 +7,7 @@ from groupahp import (
     ExpertPanel,
     ExpertWeights,
     PriorityVector,
+    ShapeError,
     aggregate_panel,
     aij,
     aip,
@@ -81,6 +82,25 @@ class TestAIP:
         base = PriorityVector(rng.dirichlet(np.ones(5)))
         agg = aip([base] * 7)
         assert list(agg.ranking()) == list(base.ranking())
+
+
+class TestShapeErrors:
+    def test_weights_for_the_wrong_number_of_experts(self):
+        panel = random_panel(np.random.default_rng(71), k=3, n=4)
+        v = PriorityVector.from_raw([1.0, 2.0, 3.0, 4.0])
+        for call in (lambda r: aggregate_panel(panel, r), lambda r: aij(panel, r),
+                     lambda r: aip([v] * 3, r)):
+            with pytest.raises(ShapeError, match="got 4 expert weights for 3 experts"):
+                call(ExpertWeights.uniform(4))
+
+    def test_aip_of_no_vectors(self):
+        with pytest.raises(ShapeError, match="need at least one priority vector"):
+            aip([])
+
+    def test_aip_of_ragged_vectors(self):
+        vectors = [PriorityVector.from_raw([1.0, 2.0]), PriorityVector.from_raw([1.0, 2.0, 3.0])]
+        with pytest.raises(ShapeError, match="all priority vectors must have the same length"):
+            aip(vectors)
 
 
 class TestCommutation:

@@ -12,6 +12,8 @@ from groupahp import (
     aggregate_panel,
     bribe_matrix,
     consistent_matrix_from_priorities,
+    experiment1,
+    generate_corpus,
     gmm_priorities,
     perturb,
     run_attack,
@@ -124,6 +126,16 @@ class TestRunAttack:
         panel = unanimous_panel([3.0, 2.0, 1.0], k=4)
         with pytest.raises(DomainError, match="saturation must exceed 1"):
             run_attack(panel, max_bribes, saturation)
+
+    @pytest.mark.parametrize("max_bribes", [-1, -20])
+    def test_rejects_a_negative_budget(self, max_bribes):
+        panel = unanimous_panel([3.0, 2.0, 1.0], k=4)
+        corpus = generate_corpus(5, {3: 1}, [1.5], 4, "log-uniform")
+        message = f"max_bribes must be >= 0 or None, got {max_bribes}"
+        with pytest.raises(DomainError, match=message):
+            run_attack(panel, max_bribes)
+        with pytest.raises(DomainError, match=message):
+            experiment1(corpus, max_bribes=max_bribes)
 
     def test_zero_budget_changes_nothing(self):
         panel = unanimous_panel([3.0, 2.0, 1.0], k=4)

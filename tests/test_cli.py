@@ -24,6 +24,7 @@ from groupahp import (
     koczkodaj_k,
     load_panel,
     method_weights,
+    panelio,
     panel_cis,
     panel_gmm,
     pcm_from_upper_triangle,
@@ -31,9 +32,10 @@ from groupahp import (
     save_panel,
 )
 from groupahp.cli import _fmt, main
+from groupahp.errors import ShapeError
 from groupahp.inconsistency import _stack_k
 from groupahp.robust import METHODS
-from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER
+from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER, count_unchecked
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
 # 40 scenarios: enough for a pool of two, were an experiment to start one
@@ -165,8 +167,8 @@ def identity_panels(tmp_path_factory):
 
 class TestOutputBytes:
     """inspect, aggregate and attack print, byte for byte, what the single-panel API gives;
-    attack --out writes what save_panel writes.  inspect and aggregate run on the loaded
-    stack, without the API's domain objects; attack runs run_attack itself."""
+    attack --out writes what save_panel writes.  Each command loads its panel with load_panel;
+    inspect and aggregate then run the batch kernels on its stack, and attack runs run_attack."""
 
     def test_inspect(self, identity_panels, capsys):
         for path in identity_panels:
@@ -210,18 +212,32 @@ class TestOutputBytes:
                              ids=["inspect", "CLASSIC", "APDD", "AID", "MX"])
     def test_inspect_and_aggregate_build_no_domain_objects(self, command, identity_panels,
                                                            monkeypatch):
-        def build(*args, **kwargs):
-            raise AssertionError("a PCMatrix, PriorityVector or ExpertPanel was built")
-
-        for module in [m for name, m in sys.modules.items() if name.startswith("groupahp.")]:
-            for name in ("_checked_panel", "_unchecked"):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, build)
-        for cls in (core.PCMatrix, core.PriorityVector, core.ExpertPanel, core.ExpertWeights):
-            monkeypatch.setattr(cls, "__init__", build)
+        """No PCMatrix, PriorityVector or ExpertWeights: only the loaded ExpertPanel."""
+        made = count_unchecked(monkeypatch, core.PCMatrix, core.PriorityVector, core.ExpertPanel,
+                               core.ExpertWeights)
         with redirect_stdout(StringIO()):
             for path in identity_panels:
                 assert main([*command, "--input", path]) == 0
+        assert made == {"ExpertPanel": len(identity_panels)}
+
+    @pytest.mark.parametrize("command", [["inspect"], ["aggregate", "--method", "MX"], ["attack"]],
+                             ids=["inspect", "aggregate", "attack"])
+    def test_each_command_reads_its_panel_once_through_load_panel(self, command, monkeypatch):
+        loads, reads, real_load, real_read = [], [], cli.load_panel, panelio._read_object
+
+        def load_panel(path):
+            loads.append(path)
+            return real_load(path)
+
+        def read_object(path):
+            reads.append(path)
+            return real_read(path)
+
+        monkeypatch.setattr(cli, "load_panel", load_panel)
+        monkeypatch.setattr(panelio, "_read_object", read_object)
+        with redirect_stdout(StringIO()):
+            assert main([*command, "--input", BRIBERY_DEMO_PATH]) == 0
+        assert loads == reads == [BRIBERY_DEMO_PATH]
 
     def test_attack(self, identity_panels, tmp_path, capsys, monkeypatch):
         """The default flags, --max-bribes 0, and saturation 5 and 1e100 through --config, each
@@ -417,6 +433,15 @@ class TestExitCodes:
     def test_io_error(self, tmp_path, capsys):
         assert main(["aggregate", "--input", str(tmp_path / "missing.json")]) == 4
         assert "i/o error" in capsys.readouterr().err
+
+    def test_other_library_error(self, capsys, monkeypatch):
+        # neither a parse nor a domain error: exit 3 under its own prefix
+        def load_panel(path):
+            raise ShapeError("mismatched shapes")
+
+        monkeypatch.setattr(cli, "load_panel", load_panel)
+        assert main(["inspect", "--input", BRIBERY_DEMO_PATH]) == 3
+        assert capsys.readouterr() == ("", "error: mismatched shapes\n")
 
     @pytest.mark.parametrize(
         "command",

@@ -1,4 +1,5 @@
 import pickle
+import re
 from unittest import mock
 
 import numpy as np
@@ -77,6 +78,11 @@ class TestPriorityVector:
         with pytest.raises(DomainError):
             PriorityVector.from_raw([0.0, 1.0])
 
+    @pytest.mark.parametrize("raw", [[0.0, 0.0], [-1.0, 0.5], [np.inf, 1.0], [np.nan, 1.0]])
+    def test_from_raw_rejects_a_vector_without_a_positive_finite_sum(self, raw):
+        with pytest.raises(DomainError, match="cannot normalize a non-positive vector"):
+            PriorityVector.from_raw(raw)
+
     def test_rejects_scalar(self):
         with pytest.raises(ShapeError):
             PriorityVector(np.array(1.0))
@@ -93,6 +99,27 @@ class TestPriorityVector:
     def test_ranking_ties_break_to_lower_index(self):
         v = PriorityVector(np.array([0.25, 0.25, 0.5]))
         assert list(v.ranking()) == [2, 0, 1]
+
+
+class TestIdentity:
+    """The array types compare and hash by identity: an object equals only itself, and a twin
+    with equal contents is a different object."""
+
+    @staticmethod
+    def twins():
+        a = np.array([[1.0, 2.0], [0.5, 1.0]])
+        make = [lambda: PCMatrix(a), lambda: PriorityVector(np.array([0.25, 0.75])),
+                lambda: ExpertWeights(np.array([0.5, 0.5])),
+                lambda: ExpertPanel.from_stack(a[None]),
+                lambda: generate_corpus(7, {3: 1}, [1.5], 2, "log-uniform")[0]]
+        return [(f(), f()) for f in make]
+
+    def test_equality_and_hash_are_identity(self):
+        for obj, twin in self.twins():
+            assert obj == obj and not obj != obj, type(obj)
+            assert obj != twin and not obj == twin, type(obj)
+            assert obj in [twin, obj] and obj not in [twin], type(obj)
+            assert hash(obj) == hash(obj) and len({obj, twin, obj}) == 2, type(obj)
 
 
 class TestExpertPanel:
@@ -240,6 +267,16 @@ class TestConstruction:
     def test_upper_triangle_wrong_count(self):
         with pytest.raises(ShapeError):
             pcm_from_upper_triangle(3, [2.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [0.0, -2.0, np.inf, np.nan])
+    def test_upper_triangle_rejects_a_non_positive_entry(self, bad):
+        with pytest.raises(DomainError, match="upper-triangle entries must be positive"):
+            pcm_from_upper_triangle(3, [2.0, bad, 5.0])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (4, 3, 2)])
+    def test_resymmetrize_rejects_non_square(self, shape):
+        with pytest.raises(ShapeError, match=re.escape(f"expected square matrices, got shape {shape}")):
+            resymmetrize(np.ones(shape))
 
     def test_resymmetrize_keeps_upper_triangle(self):
         rounded = np.array([[1.0, 0.333, 2.0], [3.0, 1.0, 5.0], [0.5, 0.2, 1.0]])

@@ -1,6 +1,4 @@
-import collections
 import json
-import sys
 from unittest import mock
 
 import numpy as np
@@ -14,6 +12,7 @@ from groupahp import (
     PriorityVector,
     RobustConfig,
     Scenario,
+    ShapeError,
     aggregate_panel,
     consistent_matrix_from_priorities,
     generate_corpus,
@@ -40,7 +39,7 @@ from groupahp.montecarlo import (
     headline_stats,
     summarize,
 )
-from tests.conftest import record_log_means
+from tests.conftest import count_unchecked, record_log_means
 
 SMALL_COUNTS = {4: 2, 5: 2}
 SMALL_ALPHAS = (1.2, 2.0)
@@ -126,6 +125,21 @@ class TestGeneration:
         path = tmp_path / "panel.json"
         save_panel(path, scenario.panel)
         assert load_panel(path)[0].stack.tobytes() == scenario.panel.stack.tobytes()
+
+    def test_random_vector_needs_two_alternatives(self):
+        with pytest.raises(DomainError, match="need at least 2 alternatives"):
+            random_priority_vector(1, np.random.default_rng(151))
+
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_a_panel_of_no_experts_is_rejected_before_drawing(self, k):
+        rng = np.random.default_rng(177)
+        base = consistent_matrix_from_priorities(random_priority_vector(3, rng))
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="a panel needs at least one expert"):
+            perturb(base, 2.0, rng, "log-uniform", k)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ShapeError, match="a panel needs at least one expert"):
+            generate_corpus(1, {4: 1}, [1.5], k, "log-uniform")
 
     def test_perturb_rejects_unknown_distribution(self):
         rng = np.random.default_rng(179)
@@ -296,21 +310,7 @@ class TestStudyBuildsNoPerMatrixObjects:
 
     @pytest.fixture
     def made(self, monkeypatch):
-        made, real = collections.Counter(), core._unchecked
-
-        def unchecked(cls, **fields):
-            made[cls.__name__] += 1
-            return real(cls, **fields)
-
-        def built(self, *args, **kwargs):
-            raise AssertionError(f"a {type(self).__name__} was built")
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("groupahp.") and hasattr(module, "_unchecked"):
-                monkeypatch.setattr(module, "_unchecked", unchecked)
-        for cls in (core.PCMatrix, core.ExpertPanel):
-            monkeypatch.setattr(cls, "__init__", built)
-        return made
+        return count_unchecked(monkeypatch, core.PCMatrix, core.ExpertPanel)
 
     def test_generation_and_experiments(self, made, monkeypatch):
         corpus = two_chunk_corpus()
