@@ -31,10 +31,11 @@ def aij(panel: ExpertPanel, r: ExpertWeights | None = None) -> PCMatrix:
     return PCMatrix(resymmetrize(np.exp(np.tensordot(w, np.log(panel.stack), axes=1))))
 
 
-def _wgm_stack(W: np.ndarray | None, L: np.ndarray) -> np.ndarray:
-    """Checked, read-only, normalized exp(w @ logs): (S, k) weights, None for equal ones."""
-    W = np.full(L.shape[:2], 1.0 / L.shape[1]) if W is None else W
-    combined = np.exp(np.matmul(W[:, None, :], L)[:, 0])
+def _wgm_stack(W: np.ndarray | None, G: np.ndarray) -> np.ndarray:
+    """AIP of (S, k, n) priority vectors G, the one place their logs are taken: the checked,
+    read-only, normalized exp(w @ log G), with (S, k) weights W, None for equal ones."""
+    W = np.full(G.shape[:2], 1.0 / G.shape[1]) if W is None else W
+    combined = np.exp(np.matmul(W[:, None, :], np.log(G))[:, 0])
     combined /= combined.sum(axis=1, keepdims=True)
     combined.setflags(write=False)
     return _check_rows(combined)
@@ -48,16 +49,16 @@ def aip(
         raise ShapeError("need at least one priority vector")
     if len({v.n for v in priority_vectors}) > 1:
         raise ShapeError("all priority vectors must have the same length")
-    L = np.log([v.weights for v in priority_vectors])
-    return _unchecked(PriorityVector, weights=_wgm_stack(_weights(r, len(L)), L[None])[0])
+    G = np.array([v.weights for v in priority_vectors])
+    return _unchecked(PriorityVector, weights=_wgm_stack(_weights(r, len(G)), G[None])[0])
 
 
 def aggregate_panel(panel: ExpertPanel, r: ExpertWeights | None = None) -> PriorityVector:
     """Group ranking of a panel: AIP over the per-expert GMM priorities.
 
-    Works on the log of one ``_checked_gmm`` of the panel's stack.  Equivalent to
+    ``_wgm_stack`` of one ``_checked_gmm`` of the panel's stack.  Equivalent to
     deriving GMM priorities from the AIJ matrix (the two routes commute under the
     geometric mean; covered by property tests).
     """
-    L = np.log(_checked_gmm(panel.stack))[None]
-    return _unchecked(PriorityVector, weights=_wgm_stack(_weights(r, panel.k), L)[0])
+    G = _checked_gmm(panel.stack)[None]
+    return _unchecked(PriorityVector, weights=_wgm_stack(_weights(r, panel.k), G)[0])

@@ -8,6 +8,7 @@ individual support for the incumbent until the runner-up wins.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,13 +63,15 @@ def _attack_stack(A, G, max_bribes: int | None, saturation: float):
 
     Support is ranked once, as nobody is bribed twice; step b bribes the b-th queued
     expert of every panel not yet flipped.  Returns the (S, budget) queues, bribes used,
-    success flags, manipulated and honest aggregates, and the final GMM vectors' logs."""
+    success flags, and manipulated and honest aggregates."""
     _check_saturation(saturation)
-    if max_bribes is not None and max_bribes < 0:
-        raise DomainError(f"max_bribes must be >= 0 or None, got {max_bribes!r}")
+    if max_bribes is not None:
+        if isinstance(max_bribes, bool) or not isinstance(max_bribes, numbers.Integral):
+            raise DomainError(f"max_bribes must be an integer or None, got {max_bribes!r}")
+        if max_bribes < 0:
+            raise DomainError(f"max_bribes must be >= 0 or None, got {max_bribes!r}")
     S, k = A.shape[:2]
-    L = np.log(G)
-    honest = _wgm_stack(None, L)
+    honest = _wgm_stack(None, G)
     winner, runner_up = _ranking(honest)[:, :2].T
     budget = k if max_bribes is None else max_bribes
     queue = _ranking(G[np.arange(S), :, winner])[:, :budget]  # descending support
@@ -79,12 +82,11 @@ def _attack_stack(A, G, max_bribes: int | None, saturation: float):
             break
         t, M = queue[s, b], A[s, queue[s, b]]
         _bribe_stack(M, runner_up[s], winner[s], saturation)
-        g = _check_rows(_row_gmm(M))
-        A[s, t], G[s, t], L[s, t] = M, g, np.log(g)
-        r = _wgm_stack(None, L[s])
+        A[s, t], G[s, t] = M, _check_rows(_row_gmm(M))
+        r = _wgm_stack(None, G[s])
         # argmax takes the first of a tie, as the stable ranking does
         ranking[s], used[s], succeeded[s] = r, b + 1, r.argmax(axis=1) == runner_up[s]
-    return queue, used, succeeded, ranking, honest, L
+    return queue, used, succeeded, ranking, honest
 
 
 def run_attack(
@@ -93,7 +95,7 @@ def run_attack(
     """Bribe experts one by one until the honest runner-up tops the ranking:
     ``_attack_stack`` on a batch of one."""
     A, G = panel.stack[None].copy(), _checked_gmm(panel.stack[None]).copy()
-    queue, used, ok, ranking, honest, _ = _attack_stack(A, G, max_bribes, saturation)
+    queue, used, ok, ranking, honest = _attack_stack(A, G, max_bribes, saturation)
     A.setflags(write=False)
     ranking.setflags(write=False)  # both aggregates passed _wgm_stack's row check
     bribed = tuple(queue[0, :used[0]].tolist())

@@ -19,9 +19,8 @@ import numpy as np
 from .aggregate import _wgm_stack
 from .attack import run_attack
 from .core import _ranking
-from .derive import _checked_gmm
 from .errors import DomainError, GroupAHPError, PanelParseError
-from .inconsistency import _stack_cis, _stack_k, panel_cis
+from .inconsistency import _stack_k, panel_cis
 from .montecarlo import (
     Scenario,
     experiment1,
@@ -31,7 +30,7 @@ from .montecarlo import (
     summarize,
 )
 from .panelio import RunConfig, check_value, load_config, load_panel, panel_document, save_panel
-from .robust import METHODS, _robust_weights_stack
+from .robust import METHODS, _panel_weights
 
 EXIT_PARSE = 2
 EXIT_DOMAIN = 3
@@ -60,17 +59,15 @@ def cmd_aggregate(args) -> int:
     panel, ids = load_panel(args.input)
     config = _load_config(args)
     print(f"panel: {panel.k} experts, {panel.n} alternatives")
-    G = _checked_gmm(panel.stack)
+    G, CI, weights = _panel_weights(panel, config.robust)
     for eid, v in zip(ids, G):
         _print_vector(f"priorities {eid}", v)
-    CI = _stack_cis(panel.stack, G)
     for eid, ci in zip(ids, CI.tolist()):
         print(f"CI {eid}: {_fmt(ci)}")
-    L, W = np.log(G)[None], None
-    if args.method != "CLASSIC":
-        W = _robust_weights_stack(G[None], L, CI[None], config.robust)[METHODS.index(args.method)]
+    W = dict(zip(METHODS, weights)).get(args.method)  # None for CLASSIC
+    if W is not None:
         _print_vector("expert weights", W[0])
-    final = _wgm_stack(W, L)[0]
+    final = _wgm_stack(W, G[None])[0]
     _print_vector(f"final ranking ({args.method})", final)
     order = _ranking(final).tolist()
     print("order:", " > ".join(f"a{i + 1}" for i in order))

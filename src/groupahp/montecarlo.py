@@ -197,11 +197,11 @@ def experiment1(
     """
     def cells(batch, G, CI):
         A = np.stack([s.panel.stack for s in batch])
-        queue, used, ok, _, honest, L = _attack_stack(A, G, max_bribes, saturation)
+        queue, used, ok, _, honest = _attack_stack(A, G, max_bribes, saturation)
         p, b = np.nonzero(np.arange(queue.shape[1]) < used[:, None])
         bribed = p, queue[p, b]
         CI[bribed] = _stack_cis(A[bribed], G[bribed])
-        restored = dict(zip(METHODS, _robust_aggregate_stack(G, L, CI, config)))
+        restored = dict(zip(METHODS, _robust_aggregate_stack(G, CI, config)))
         return {"bribes_used": used.tolist(), "attack_succeeded": ok.astype(int).tolist(),
                 **{_column("class", m): _classify(honest, r) for m, r in restored.items()},
                 **{_column("manhattan", m): manhattan_mean(honest, r).tolist()
@@ -220,9 +220,8 @@ def experiment2(
     by records.csv column.
     """
     def cells(batch, G, CI):
-        L = np.log(G)
-        honest = _wgm_stack(None, L)
-        restored = dict(zip(METHODS, _robust_aggregate_stack(G, L, CI, config)))
+        honest = _wgm_stack(None, G)
+        restored = dict(zip(METHODS, _robust_aggregate_stack(G, CI, config)))
         return {**{_column("manhattan", m): manhattan_mean(honest, r).tolist()
                    for m, r in restored.items()},
                 **{_column("kendall", m): kendall_tau_distance(honest, r).tolist()
@@ -230,35 +229,30 @@ def experiment2(
     return _rows_by_shape(scenarios, cells)
 
 
-def _bucket(ci: float) -> float:
-    # label each bucket by its upper edge
-    return round((np.floor(ci / CI_BUCKET_WIDTH) + 1) * CI_BUCKET_WIDTH, 10)
-
-
-def _mean(values: list) -> float:
+def _mean(values: np.ndarray) -> float:
     # nan for no values, without numpy's empty-slice warning
-    return float(np.mean(values)) if values else float("nan")
+    return float(np.mean(values)) if values.size else float("nan")
 
 
-def _scored(records) -> tuple[bool, list[dict], list[dict]]:
-    """Whether the records are attacked, the scored ones (of experiment 1 the
-    successful attacks only), and the scored ones at mean CI <= 0.1."""
+def _columns(records) -> tuple[bool, dict[str, np.ndarray]]:
+    """Whether the records are attacked, and each records.csv column of the scored records as
+    one array (of experiment 1 the successful attacks only)."""
     records = list(records)
     if not records:
         raise EmptyReportError("no records to summarize")
-    attacked = "attack_succeeded" in records[0]
-    scored = [r for r in records if not attacked or r["attack_succeeded"]]
-    return attacked, scored, [r for r in scored if r["mean_ci"] <= CI_THRESHOLD]
+    columns = {key: np.array([r[key] for r in records]) for key in records[0]}
+    scored = columns.get("attack_succeeded", np.ones(len(records))).astype(bool)
+    return "attack_succeeded" in columns, {key: c[scored] for key, c in columns.items()}
 
 
-def _scores(recs: list[dict], method: str, attacked: bool) -> dict[str, float]:
-    """WR/RR rates (attacked records only) and mean Manhattan distance; nan for none."""
+def _scores(columns, mask, method: str, attacked: bool) -> dict[str, float]:
+    """WR/RR rates (attacked only) and mean Manhattan distance under ``mask``; nan for none."""
     stats = {}
     if attacked:
-        cls = [r[_column("class", method)] for r in recs]
-        stats["wr_rate"] = _mean([c in ("WR", "RR") for c in cls])
-        stats["rr_rate"] = _mean([c == "RR" for c in cls])
-    stats["mean_manhattan"] = _mean([r[_column("manhattan", method)] for r in recs])
+        cls = columns[_column("class", method)][mask]
+        stats["wr_rate"] = _mean((cls == "WR") | (cls == "RR"))
+        stats["rr_rate"] = _mean(cls == "RR")
+    stats["mean_manhattan"] = _mean(columns[_column("manhattan", method)][mask])
     return stats
 
 
@@ -272,21 +266,22 @@ def summarize(records) -> list[tuple]:
     Kendall-distance histogram over the low-inconsistency region
     (mean CI <= 0.1).
     """
-    attacked, scored, low = _scored(records)
-    buckets: dict[float, list[dict]] = {}
-    for rec in scored:
-        buckets.setdefault(_bucket(rec["mean_ci"]), []).append(rec)
+    attacked, columns = _columns(records)
+    ci = columns["mean_ci"]
+    # label each bucket by its upper edge
+    buckets = np.round((np.floor(ci / CI_BUCKET_WIDTH) + 1) * CI_BUCKET_WIDTH, 10)
     rows = []
-    for b, recs in buckets.items():
+    for b in set(buckets.tolist()):
+        mask = buckets == b
+        count = int(mask.sum())
+        rows += [(b, method, metric, value, count) for method in METHODS
+                 for metric, value in _scores(columns, mask, method, attacked).items()]
+    low = ci <= CI_THRESHOLD
+    if low.any() and not attacked:
         for method in METHODS:
-            stats = _scores(recs, method, attacked)
-            rows += [(b, method, metric, value, len(recs)) for metric, value in stats.items()]
-    if low and not attacked:
-        for method in METHODS:
-            kd = np.array([r[_column("kendall", method)] for r in low])
+            kd = columns[_column("kendall", method)][low]
             for d in range(int(kd.max()) + 1):
-                freq = float(np.mean(kd == d))
-                rows.append((CI_THRESHOLD, method, f"kendall_{d}_freq", freq, len(low)))
+                rows.append((CI_THRESHOLD, method, f"kendall_{d}_freq", _mean(kd == d), kd.size))
     rows.sort(key=lambda r: (r[2], r[1], r[0]))
     return rows
 
@@ -297,9 +292,10 @@ def headline_stats(records) -> dict[str, dict[str, float]]:
     A statistic over the scenarios at or below the threshold is nan when
     there are none.
     """
-    attacked, scored, low = _scored(records)
+    attacked, columns = _columns(records)
+    low = columns["mean_ci"] <= CI_THRESHOLD
     if attacked:
-        return {m: _scores(low, m, True) for m in METHODS}
-    return {m: {"corpus_mean_manhattan": _scores(scored, m, False)["mean_manhattan"],
-                "kendall_zero_freq": _mean([r[_column("kendall", m)] == 0 for r in low])}
+        return {m: _scores(columns, low, m, True) for m in METHODS}
+    return {m: {"corpus_mean_manhattan": _mean(columns[_column("manhattan", m)]),
+                "kendall_zero_freq": _mean(columns[_column("kendall", m)][low] == 0)}
             for m in METHODS}

@@ -99,7 +99,7 @@ def preferential_distances(
 ) -> np.ndarray:
     """Distance of each expert's GMM vector from the equal-weight aggregate."""
     G = _checked_gmm(panel.stack)
-    return _metric(metric)(_wgm_stack(None, np.log(G)[None]), G)
+    return _metric(metric)(_wgm_stack(None, G[None]), G)
 
 
 def _centred(CI: np.ndarray) -> np.ndarray:
@@ -142,32 +142,33 @@ def _aid_stack(D: np.ndarray, config: RobustConfig) -> np.ndarray:
     return _credibility(D, np.concatenate([lo, mid, hi], axis=1), [s.h, s.m, s.l])
 
 
-def _robust_weights_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
-    """The (S, k) expert weights of S panels by each method, in METHODS order (APDD's alone
-    when CI is None), from the (S, k, n) GMM vectors G, their logs L and (S, k) CIs.  APDD
-    measures from each panel's equal-weight aggregate.  Each gets ExpertWeights' checks."""
-    apdd = _apdd_stack(_metric(config.metric)(_wgm_stack(None, L)[:, None], G), config)
-    if CI is None:
-        return (_check_rows(apdd, "expert weights", 1),)
+def _robust_weights_stack(G, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
+    """The (S, k) expert weights of S panels by each method, in METHODS order, from their
+    (S, k, n) GMM vectors G and (S, k) CIs.  APDD measures from each panel's equal-weight
+    aggregate.  Each gets ExpertWeights' checks."""
+    apdd = _apdd_stack(_metric(config.metric)(_wgm_stack(None, G)[:, None], G), config)
     aid = _aid_stack(_centred(CI), config)
     mx = config.beta * apdd + (1.0 - config.beta) * aid
     return tuple(_check_rows(W, "expert weights", 1) for W in (apdd, aid, mx))
 
 
-def _robust_aggregate_stack(G, L, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
+def _robust_aggregate_stack(G, CI, config: RobustConfig) -> tuple[np.ndarray, ...]:
     """``robust_aggregate`` of S panels by each method: ``_robust_weights_stack``'s aggregates."""
-    return tuple(_wgm_stack(W, L) for W in _robust_weights_stack(G, L, CI, config))
+    return tuple(_wgm_stack(W, G) for W in _robust_weights_stack(G, CI, config))
 
 
-def _panel_weights(panel: ExpertPanel, method: str, config: RobustConfig):
-    """The (1, k, n) GMM logs of a panel and its (1, k) weights by ``method``: one log-mean and
-    the batch kernels on a batch of one.  Only AID and MX run the power iteration, from G."""
+def _panel_weights(panel: ExpertPanel, config: RobustConfig):
+    """A panel's (k, n) GMM vectors, its (k,) CIs from one power iteration started at them, and
+    its (1, k) weights by each method: the one scorer of the single-panel API and ``aggregate``."""
+    G = _checked_gmm(panel.stack)
+    CI = _stack_cis(panel.stack, G)
+    return G, CI, _robust_weights_stack(G[None], CI[None], config)
+
+
+def _method_index(method: str) -> int:
     if method not in METHODS:
         raise DomainError(f"unknown method {method!r}")
-    G = _checked_gmm(panel.stack[None])
-    L = np.log(G)
-    CI = None if method == "APDD" else _stack_cis(panel.stack, G[0])[None]
-    return L, _robust_weights_stack(G, L, CI, config)[METHODS.index(method)]
+    return METHODS.index(method)
 
 
 def apdd_weights(panel: ExpertPanel, config: RobustConfig = RobustConfig()) -> ExpertWeights:
@@ -214,16 +215,17 @@ def credibility_from_matrix(c_ex: PCMatrix) -> CredibilityScale3:
     return CredibilityScale3(float(h), float(m), float(l))
 
 
-
 def method_weights(
     panel: ExpertPanel, method: MethodName, config: RobustConfig = RobustConfig()
 ) -> ExpertWeights:
-    return ExpertWeights(_panel_weights(panel, method, config)[1][0])
+    i = _method_index(method)
+    return ExpertWeights(_panel_weights(panel, config)[2][i][0])
 
 
 def robust_aggregate(
     panel: ExpertPanel, method: MethodName, config: RobustConfig = RobustConfig()
 ) -> PriorityVector:
     """Group ranking using the chosen weighting scheme and weighted AIP."""
-    L, W = _panel_weights(panel, method, config)
-    return _unchecked(PriorityVector, weights=_wgm_stack(W, L)[0])
+    i = _method_index(method)
+    G, _, weights = _panel_weights(panel, config)
+    return _unchecked(PriorityVector, weights=_wgm_stack(weights[i], G[None])[0])

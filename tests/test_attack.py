@@ -11,6 +11,7 @@ from groupahp import (
     ShapeError,
     aggregate_panel,
     bribe_matrix,
+    bundled_panel,
     consistent_matrix_from_priorities,
     experiment1,
     generate_corpus,
@@ -136,6 +137,26 @@ class TestRunAttack:
             run_attack(panel, max_bribes)
         with pytest.raises(DomainError, match=message):
             experiment1(corpus, max_bribes=max_bribes)
+
+    @pytest.mark.parametrize("max_bribes", [1.5, 2.0, "2", True, False, np.float64(1.0)])
+    def test_rejects_a_budget_that_is_not_an_integer(self, max_bribes):
+        panel = unanimous_panel([3.0, 2.0, 1.0], k=4)
+        corpus = generate_corpus(5, {3: 1}, [1.5], 4, "log-uniform")
+        message = "max_bribes must be an integer or None, got "
+        with pytest.raises(DomainError, match=message):
+            run_attack(panel, max_bribes)
+        with pytest.raises(DomainError, match=message):
+            experiment1(corpus, max_bribes=max_bribes)
+
+    def test_numpy_integer_budget(self):
+        panel, _ = bundled_panel("bribery_demo_panel")
+        corpus = generate_corpus(5, {3: 2}, [1.5, 2.0], 4, "log-uniform")
+        for budget in (0, 1, 2):
+            for numpy_budget in (np.int64(budget), np.int32(budget), np.uint8(budget)):
+                outcome, want = run_attack(panel, numpy_budget), run_attack(panel, budget)
+                assert outcome.bribed_indices == want.bribed_indices
+                assert experiment1(corpus, max_bribes=numpy_budget) == experiment1(
+                    corpus, max_bribes=budget)
 
     def test_zero_budget_changes_nothing(self):
         panel = unanimous_panel([3.0, 2.0, 1.0], k=4)

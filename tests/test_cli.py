@@ -16,11 +16,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from groupahp import (
+    ExpertPanel,
     RobustConfig,
     aggregate_panel,
     bundled_panel,
     cli,
     core,
+    inconsistency,
     koczkodaj_k,
     load_panel,
     method_weights,
@@ -35,7 +37,8 @@ from groupahp.cli import _fmt, main
 from groupahp.errors import ShapeError
 from groupahp.inconsistency import _stack_k
 from groupahp.robust import METHODS
-from tests.conftest import SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER, count_unchecked
+from tests.conftest import (SLOW_EVM_UPPER, ZERO_COMPONENT_UPPER, count_unchecked, random_pcm,
+                            record_log_means)
 
 SMALL_CONFIG = {"counts": {"4": 2}, "alpha_stop": 1.3, "panel_size": 5}
 # 40 scenarios: enough for a pool of two, were an experiment to start one
@@ -219,6 +222,21 @@ class TestOutputBytes:
             for path in identity_panels:
                 assert main([*command, "--input", path]) == 0
         assert made == {"ExpertPanel": len(identity_panels)}
+
+    @pytest.mark.parametrize("method", ["CLASSIC", *METHODS])
+    def test_aggregate_derives_its_panel_once(self, method, tmp_path, monkeypatch):
+        """One log-mean and one power iteration over the (20, 7, 7) stack, for every method:
+        the GMM vectors it prints start the CIs, and both feed the weights and the AIP."""
+        rng = np.random.default_rng(149)
+        path = tmp_path / "panel.json"
+        save_panel(path, ExpertPanel([random_pcm(7, rng) for _ in range(20)]))
+        log_means = record_log_means(monkeypatch)
+        with mock.patch.object(inconsistency, "_evm_stack",
+                               wraps=inconsistency._evm_stack) as power, \
+                redirect_stdout(StringIO()):
+            assert main(["aggregate", "--input", str(path), "--method", method]) == 0
+        assert [A.shape for A in log_means] == [(20, 7, 7)]
+        assert [c.args[0].shape for c in power.call_args_list] == [(20, 7, 7)]
 
     @pytest.mark.parametrize("command", [["inspect"], ["aggregate", "--method", "MX"], ["attack"]],
                              ids=["inspect", "aggregate", "attack"])

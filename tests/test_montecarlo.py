@@ -420,6 +420,65 @@ class TestReportStatistics:
         zero = {r[1]: r[3] for r in summarize(self.EXP2) if r[2] == "kendall_0_freq"}
         assert {m: s["kendall_zero_freq"] for m, s in stats.items()} == zero
 
+    @given(st.booleans(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_column_report_matches_a_record_loop(self, attacked, data):
+        # mean CIs at and next to bucket edges and the threshold, and anywhere in [0, 0.4]
+        ci = st.one_of(st.sampled_from([0.0, 0.01, 0.05, 0.1, 0.1 + 1e-12, 0.3]),
+                       st.floats(0.0, 0.4))
+        distances = st.tuples(*[st.floats(0.0, 2.0)] * 3)
+        if attacked:
+            classes = st.tuples(*[st.sampled_from(("RR", "WR", "FAILURE"))] * 3)
+            record = st.builds(exp1_record, ci, st.integers(0, 1), classes, distances)
+        else:
+            record = st.builds(exp2_record, ci, distances, st.tuples(*[st.integers(0, 6)] * 3))
+        records = data.draw(st.lists(record, min_size=1, max_size=40))
+        want_rows, want_headline = reference_report(records)
+        rows = summarize(records)
+        assert [r[:3] + r[4:] for r in rows] == [r[:3] + r[4:] for r in want_rows]
+        np.testing.assert_array_equal([r[3] for r in rows], [r[3] for r in want_rows])
+        headline = headline_stats(records)
+        assert {m: list(s) for m, s in headline.items()} == {
+            m: list(s) for m, s in want_headline.items()}
+        for m in METHODS:  # nan where no record is at or below the threshold
+            np.testing.assert_array_equal(list(headline[m].values()),
+                                          list(want_headline[m].values()))
+
+
+def reference_report(records):
+    """summarize and headline_stats one record at a time: each bucket a list of its records,
+    each statistic np.mean of a list built from them."""
+    attacked = "attack_succeeded" in records[0]
+    scored = [r for r in records if not attacked or r["attack_succeeded"]]
+    low = [r for r in scored if r["mean_ci"] <= 0.1]
+
+    def mean(values):
+        return float(np.mean(values)) if values else float("nan")
+
+    def scores(recs, m):
+        stats = {}
+        if attacked:
+            stats["wr_rate"] = mean([r[f"class_{m.lower()}"] in ("WR", "RR") for r in recs])
+            stats["rr_rate"] = mean([r[f"class_{m.lower()}"] == "RR" for r in recs])
+        stats["mean_manhattan"] = mean([r[f"manhattan_{m.lower()}"] for r in recs])
+        return stats
+
+    buckets = {}
+    for r in scored:
+        buckets.setdefault(round((np.floor(r["mean_ci"] / 0.01) + 1) * 0.01, 10), []).append(r)
+    rows = [(b, m, metric, value, len(recs)) for b, recs in buckets.items() for m in METHODS
+            for metric, value in scores(recs, m).items()]
+    if low and not attacked:
+        for m in METHODS:
+            kd = [r[f"kendall_{m.lower()}"] for r in low]
+            rows += [(0.1, m, f"kendall_{d}_freq", mean([k == d for k in kd]), len(low))
+                     for d in range(max(kd) + 1)]
+    if attacked:
+        return sorted(rows, key=lambda r: (r[2], r[1], r[0])), {m: scores(low, m) for m in METHODS}
+    return sorted(rows, key=lambda r: (r[2], r[1], r[0])), {
+        m: {"corpus_mean_manhattan": scores(scored, m)["mean_manhattan"],
+            "kendall_zero_freq": mean([r[f"kendall_{m.lower()}"] == 0 for r in low])}
+        for m in METHODS}
 
 def one_scenario_at_a_time(scenario, config, max_bribes, saturation) -> dict:
     """Experiment 1's row for one scenario, from the single-panel API."""

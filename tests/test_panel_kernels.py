@@ -260,8 +260,8 @@ def reference_aip(vectors, w) -> np.ndarray:
 
 @given(panels, st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_aggregation_kernel_on_the_panel_memo(panel, seed):
-    # aggregate_panel and preferential_distances work on the logs of panel_gmm's vectors
+def test_aggregation_kernel_on_the_panel_gmm_vectors(panel, seed):
+    # aggregate_panel and preferential_distances take the AIP of panel_gmm's vectors
     vectors = panel_gmm(panel)
     w = np.random.default_rng(seed).dirichlet(np.ones(panel.k))
     for r, weights in ((None, np.full(panel.k, 1.0 / panel.k)), (ExpertWeights(w), w)):

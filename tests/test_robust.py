@@ -343,9 +343,10 @@ class TestInterpReference:
 
 
 class TestOnePanelDerivesOnce:
-    """The single-panel API derives a panel's GMM vectors once and its CIs at most once."""
+    """The single-panel API derives a panel's GMM vectors once and its CIs once: every method
+    goes through the one scorer, which also reads the CIs for APDD."""
 
-    @pytest.mark.parametrize("method, power_iterations", [("APDD", 0), ("AID", 1), ("MX", 1)])
+    @pytest.mark.parametrize("method, power_iterations", [("APDD", 1), ("AID", 1), ("MX", 1)])
     def test_weights_and_aggregate(self, method, power_iterations, monkeypatch):
         panel = random_panel(np.random.default_rng(149), k=20, n=7)
         for call in (method_weights, robust_aggregate):
